@@ -23,11 +23,12 @@ use copycat_graph::{
 };
 use copycat_linkage::{LabeledPair, MatchLearner, Matcher, TfIdfIndex};
 use copycat_query::{Catalog, Field, Plan, Relation, Schema, Service};
+use copycat_semantic::TypeRegistry;
 use copycat_services::{
     Flaky, HealthRegistry, HealthSnapshot, Resilient, RetryPolicy, SavedFlakyState,
     SavedServiceHealth,
 };
-use copycat_semantic::{Program, TransformLearner, TypeRegistry};
+use copycat_transform::Program;
 use std::sync::Arc;
 
 /// The two interaction modes of §2.1.
@@ -157,7 +158,7 @@ pub struct LearnedTransform {
     /// Column of `to_source` the derived value equals.
     pub to_col: String,
     /// The learned program (renders human-readably).
-    pub program: copycat_transform::Program,
+    pub program: Program,
     /// Fraction of source values mapped into the target column.
     pub coverage: f64,
     /// The edge cost derived from program size + coverage.
@@ -878,7 +879,9 @@ impl CopyCat {
     /// Learn derived-column programs from typed examples: the user fills
     /// in the new column's value for a few rows and the system searches
     /// for a function explaining them. `examples` pairs a committed-row
-    /// index with the typed output. Ranked simplest-first.
+    /// index with the typed output. At most three: a string program that
+    /// reads the row, then numeric templates; a memorized constant only
+    /// when nothing else fits.
     pub fn suggest_transform(&self, examples: &[(usize, &str)]) -> Vec<TransformSuggestion> {
         let rows = self.workspace.active().committed_rows();
         let labeled: Vec<(Vec<String>, String)> = examples
@@ -888,10 +891,8 @@ impl CopyCat {
         if labeled.is_empty() {
             return Vec::new();
         }
-        TransformLearner::new()
-            .learn(&labeled)
+        copycat_transform::learn_ranked(&labeled)
             .into_iter()
-            .take(3)
             .map(|program| {
                 let values: Vec<String> = rows
                     .iter()
@@ -938,7 +939,11 @@ impl CopyCat {
         ) else {
             return None;
         };
-        let program = copycat_transform::learn(examples)?;
+        let rows: Vec<(Vec<String>, String)> = examples
+            .iter()
+            .map(|(i, o)| (vec![i.clone()], o.clone()))
+            .collect();
+        let program = copycat_transform::learn(&rows)?;
         let coverage = self.transform_coverage(&program, from_source, from_col, to_source, to_col);
         let cost = copycat_transform::edge_cost(&program, coverage);
         let kind = copycat_graph::EdgeKind::Transform {
@@ -980,7 +985,7 @@ impl CopyCat {
     /// relevance threshold but still exists for feedback to adjust).
     fn transform_coverage(
         &self,
-        program: &copycat_transform::Program,
+        program: &Program,
         from_source: &str,
         from_col: &str,
         to_source: &str,
@@ -1011,7 +1016,7 @@ impl CopyCat {
                 continue;
             }
             total += 1;
-            if program.apply(&v).is_some_and(|out| targets.contains(&out)) {
+            if program.apply(&[v]).is_some_and(|out| targets.contains(&out)) {
                 hit += 1;
             }
         }
@@ -1096,8 +1101,7 @@ impl CopyCat {
             return EditEffect::Local;
         };
         examples.push((inputs, value.to_string()));
-        let programs = TransformLearner::new().learn(examples);
-        let Some(program) = programs.into_iter().next() else {
+        let Some(program) = copycat_transform::learn_ranked(examples).into_iter().next() else {
             // No consistent program any more: the edit was a one-off
             // correction; drop back to local semantics.
             return EditEffect::Local;
@@ -1561,6 +1565,65 @@ mod tests {
         cc.accept_transform("Label", &top);
         assert_eq!(cc.columns().len(), before + 1);
         assert_eq!(cc.columns().last().unwrap().name, "Label");
+    }
+
+    #[test]
+    fn identity_column_suggests_no_numeric_template() {
+        let mut cc = CopyCat::new();
+        let sheet = copycat_document::Sheet::from_csv(
+            "stock.csv",
+            "Item,Qty\nbolt,5\nnut,12\nwasher,7\n",
+            true,
+        );
+        let doc = cc.open(Document::Sheet(sheet));
+        cc.paste_example(doc, &["bolt", "5"]);
+        cc.accept_suggested_rows();
+        // Copying Qty is one string program; `+ 0`, `- 0`, `* 1` and
+        // `/ 1` would only restate it.
+        let suggs = cc.suggest_transform(&[(0, "5"), (1, "12")]);
+        let programs: Vec<String> = suggs.iter().map(|s| s.program.to_string()).collect();
+        assert_eq!(programs, ["col1"]);
+        assert_eq!(suggs[0].values, ["5", "12", "7"]);
+    }
+
+    #[test]
+    fn one_example_suggestions_generalize() {
+        let mut cc = CopyCat::new();
+        let sheet = copycat_document::Sheet::from_csv(
+            "people.csv",
+            "First,Last,State\nAnn,Lopez,fl\nBob,Chen,tx\n",
+            true,
+        );
+        let doc = cc.open(Document::Sheet(sheet));
+        cc.paste_example(doc, &["Ann", "Lopez", "fl"]);
+        cc.accept_suggested_rows();
+        // The cheapest program for one example is the memorized output;
+        // a suggestion must read the row instead.
+        let upper = cc.suggest_transform(&[(0, "FL")]);
+        assert_eq!(upper[0].program.to_string(), "upper(col2)");
+        assert_eq!(upper[0].values, ["FL", "TX"]);
+        let names = cc.suggest_transform(&[(0, "Lopez, Ann")]);
+        assert_eq!(names[0].program.to_string(), "concat(col1, \", \", col0)");
+        assert_eq!(names[0].values, ["Lopez, Ann", "Chen, Bob"]);
+    }
+
+    #[test]
+    fn edit_relearns_the_top_suggestion_not_a_shared_constant() {
+        let mut cc = CopyCat::new();
+        let sheet =
+            copycat_document::Sheet::from_csv("pairs.csv", "Lo,Hi\n2,3\n1,4\n10,20\n", true);
+        let doc = cc.open(Document::Sheet(sheet));
+        cc.paste_example(doc, &["2", "3"]);
+        cc.accept_suggested_rows();
+        let suggs = cc.suggest_transform(&[(0, "5")]);
+        assert_eq!(suggs[0].program.to_string(), "sum(all numeric columns)");
+        assert_eq!(suggs[0].values, ["5", "5", "30"]);
+        cc.accept_transform("Total", &suggs[0]);
+        let col = cc.columns().len() - 1;
+        // Both examples now read 5: the cheapest program memorizes "5",
+        // but the column keeps the sum, so the third row stays 30.
+        assert_eq!(cc.edit_cell(1, col, "5"), EditEffect::Generalized(0));
+        assert_eq!(cc.workspace().active().committed_rows()[2][col], "30");
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn eval(
                     let derived = if t.values[src].is_null() {
                         None
                     } else {
-                        program.apply(&t.values[src].as_text())
+                        program.apply(&[t.values[src].as_text()])
                     };
                     t.values.push(derived.map_or(Value::Null, Value::Str));
                     t

@@ -25,10 +25,8 @@ pub mod pattern;
 pub mod recognize;
 pub mod registry;
 pub mod token;
-pub mod transform;
 
 pub use function::{FunctionLearner, IoExample, KnownFunction, SourceDescription};
-pub use transform::{Program, TransformLearner};
 pub use pattern::{Pattern, PatternSet, PatternToken};
 pub use recognize::{recognize, RecognitionScore};
 pub use registry::{SemanticType, TypeRegistry};

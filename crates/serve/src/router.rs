@@ -602,13 +602,6 @@ impl Router {
         }
     }
 
-    /// Handle one binary-framed request (see [`crate::frame`]) with
-    /// placement and durability layered on, returning the framed
-    /// response.
-    pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        crate::frame::handle_with(frame, |line| self.handle_line(line))
-    }
-
     /// [`handle_line`](Router::handle_line) plus response parsing.
     pub fn handle(&self, line: &str) -> Json {
         // lint:allow(panic-path) test/script convenience on router-produced JSON, not a request path

@@ -19,6 +19,7 @@ fn ground_truth(g: &mut Gen) -> Program {
             Piece::Const(g.string_of("-./ x", 1..3))
         } else {
             Piece::Extract {
+                col: 0,
                 tok: Tok::Digits,
                 index: g.usize_in(0..3),
                 rev: g.bool_p(0.3),
@@ -42,12 +43,13 @@ fn inputs(g: &mut Gen) -> Vec<String> {
     })
 }
 
-fn labeled_pairs(g: &mut Gen) -> Option<Vec<(String, String)>> {
+fn labeled_pairs(g: &mut Gen) -> Option<Vec<(Vec<String>, String)>> {
     let truth = ground_truth(g);
     let mut pairs = Vec::new();
     for input in inputs(g) {
-        let output = truth.apply(&input)?;
-        pairs.push((input, output));
+        let row = vec![input];
+        let output = truth.apply(&row)?;
+        pairs.push((row, output));
     }
     Some(pairs)
 }

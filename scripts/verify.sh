@@ -15,6 +15,10 @@ cargo build --release --offline --workspace
 # latency — it runs in well under a second today.
 cargo run --release --offline -q -p copycat-lint -- check --budget-ms 20000
 cargo test -q --offline --workspace
+# The benchmark lives in its own workspace (perfbench/), so the line
+# above never compiles it: test it explicitly, or an API change to the
+# server, router, store or JSON types would break it unseen.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -p copycat-bench --bin harness -- e1
 # Serve smoke: spawn an in-process copycat-serve, round-trip one request
 # of every request class, and drain gracefully. Exits non-zero if any
