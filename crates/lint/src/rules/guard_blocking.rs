@@ -1,12 +1,12 @@
 //! `guard-across-blocking` — no lock guard held across a blocking
 //! channel/thread call.
 //!
-//! The serving layer's backpressure design makes this the deadlock
-//! shape: `util::channel::send`/`recv` block on a condvar until a peer
-//! makes progress, and a worker that blocks while holding a
-//! `Mutex`/`RwLock` guard can be the very thing preventing that peer
-//! from progressing (e.g. holding a session lock while `send`ing into a
-//! full queue whose drainer needs the same session). The rule flags a
+//! This is the classic deadlock shape: a channel `send`/`recv` or a
+//! thread `join` blocks until a peer makes progress, and a thread that
+//! blocks while holding a `Mutex`/`RwLock` guard can be the very thing
+//! preventing that peer from progressing (e.g. holding a session lock
+//! while `send`ing into a full bounded channel whose drainer needs the
+//! same session). The rule flags a
 //! guard *binding* — a `let` whose initializer ends in `.lock()`,
 //! `.read()` or `.write()` — that is still live in the same block when a
 //! `.send(` / `.try_send(` / `.recv(` / `.join(` call appears. An

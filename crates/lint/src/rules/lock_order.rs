@@ -21,8 +21,7 @@
 //!    the same deadlock shape the per-file rule catches in a single
 //!    block, upgraded across function boundaries.
 //!
-//! `crates/util` is exempt: it *implements* the lock and channel
-//! primitives (condvar loops legitimately hold the state lock), and
+//! `crates/util` is exempt: it *implements* the lock primitives, and
 //! its internals are covered by their own property tests.
 
 use crate::callgraph::CallGraph;
@@ -280,7 +279,7 @@ mod tests {
     fn util_crate_is_exempt_and_tests_are_skipped() {
         let src = "fn close(&self) {\n  let j = self.journal.lock();\n  self.sessions.lock();\n}\n\
                    fn stats(&self) {\n  let map = self.sessions.lock();\n  self.journal.lock();\n}";
-        assert!(analyze_source("crates/util/src/channel.rs", src).is_empty());
+        assert!(analyze_source("crates/util/src/sync.rs", src).is_empty());
         let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}");
         assert!(analyze_source("crates/serve/src/x.rs", &in_test).is_empty());
     }

@@ -1,11 +1,11 @@
 //! `panic-path` — no panics on `crates/serve` request paths.
 //!
-//! A panic in a pooled worker has two failure modes, both worse than an
-//! error response: without a catch it kills the worker (shrinking the
-//! pool until the server deadlocks), and even with the pool's
-//! `catch_unwind` net it turns a typed, client-dispatchable error into a
-//! generic `internal`. Request-path code must route failures through the
-//! [`ErrorKind`] taxonomy instead.
+//! A panic on a request path has two failure modes, both worse than an
+//! error response: without a catch it unwinds through the caller's
+//! thread (a TCP connection, a router holding a journal lock), and even
+//! with the server's `catch_unwind` net it turns a typed,
+//! client-dispatchable error into a generic `internal`. Request-path
+//! code must route failures through the [`ErrorKind`] taxonomy instead.
 //!
 //! Scope: all non-test code under `crates/serve/src/` **except**
 //! `smoke.rs` — the smoke subcommand is a client-side checker whose job
@@ -35,8 +35,8 @@ impl Rule for PanicPath {
         }
         for (name, follower, what) in CALLS
             .iter()
-            .map(|c| (*c, "(", "panics the worker on Err/None"))
-            .chain(MACROS.iter().map(|m| (*m, "!", "panics the worker")))
+            .map(|c| (*c, "(", "panics the request path on Err/None"))
+            .chain(MACROS.iter().map(|m| (*m, "!", "panics the request path")))
         {
             for i in ctx.find_all(&[name, follower]) {
                 if ctx.in_test(i) {
@@ -77,7 +77,7 @@ mod tests {
         assert!(run_at("crates/core/src/engine.rs", src).is_empty());
         assert!(run_at("crates/serve/src/smoke.rs", src).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { None::<u8>.unwrap(); }\n}";
-        assert!(run_at("crates/serve/src/pool.rs", in_test).is_empty());
+        assert!(run_at("crates/serve/src/server.rs", in_test).is_empty());
     }
 
     #[test]

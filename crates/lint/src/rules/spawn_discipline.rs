@@ -1,19 +1,16 @@
-//! `spawn-discipline` — free-running threads only come from the pool.
+//! `spawn-discipline` — no free-running threads.
 //!
 //! `thread::spawn` creates a detached thread unless someone remembers
 //! its `JoinHandle`; a forgotten handle is a thread that outlives
-//! shutdown, races drains, and turns deterministic tests flaky. The
-//! workspace has exactly one place allowed to own long-lived threads —
-//! `crates/serve/src/pool.rs`, whose whole contract is spawning, naming
-//! and joining workers. Everything else uses `std::thread::scope`, whose
-//! `scope.spawn` is structurally joined (and, not being `thread::spawn`,
-//! does not trip this rule).
+//! shutdown, races drains, and turns deterministic tests flaky. No
+//! non-test code in the workspace owns long-lived threads: the server
+//! runs each request on its caller's thread, and everything that fans
+//! out uses `std::thread::scope`, whose `scope.spawn` is structurally
+//! joined (and, not being `thread::spawn`, does not trip this rule).
 
 use crate::file::FileCtx;
 use crate::findings::Finding;
 use crate::rules::Rule;
-
-const ALLOWED_FILES: [&str; 1] = ["crates/serve/src/pool.rs"];
 
 /// The rule. Test code is exempt — tests spawn throwaway clients and
 /// join them in view of the assertion.
@@ -25,9 +22,6 @@ impl Rule for SpawnDiscipline {
     }
 
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
-        if ALLOWED_FILES.contains(&ctx.path.as_str()) {
-            return;
-        }
         for needle in [&["thread", "::", "spawn"][..], &["thread", "::", "Builder"][..]] {
             for i in ctx.find_all(needle) {
                 if ctx.in_test(i) {
@@ -38,8 +32,8 @@ impl Rule for SpawnDiscipline {
                     self.name(),
                     ctx.toks[i].line,
                     format!(
-                        "thread::{} outside serve::pool — use std::thread::scope \
-                         (structurally joined) or route the work through the worker pool",
+                        "thread::{} spawns a free-running thread — use std::thread::scope \
+                         (structurally joined)",
                         needle[2]
                     ),
                 );
@@ -53,19 +47,18 @@ mod tests {
     use crate::rules::testutil::run_at;
 
     #[test]
-    fn loose_spawn_fires_outside_the_pool() {
+    fn loose_spawn_fires_anywhere() {
         let src = "fn f() { std::thread::spawn(|| work()); }";
         let found = run_at("crates/graph/src/x.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "spawn-discipline");
+        assert_eq!(run_at("crates/serve/src/server.rs", src).len(), 1);
         let builder = "fn f() { thread::Builder::new().name(n).spawn(w); }";
         assert_eq!(run_at("crates/core/src/x.rs", builder).len(), 1);
     }
 
     #[test]
-    fn pool_scoped_spawns_and_tests_pass() {
-        let src = "fn f() { std::thread::spawn(|| work()); }";
-        assert!(run_at("crates/serve/src/pool.rs", src).is_empty());
+    fn scoped_spawns_and_tests_pass() {
         let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| work()); }); }";
         assert!(run_at("crates/graph/src/x.rs", scoped).is_empty());
         let test = "#[test]\nfn t() { std::thread::spawn(|| work()).join(); }";

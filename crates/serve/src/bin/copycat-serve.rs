@@ -11,7 +11,10 @@
 //! ```
 //!
 //! The default mode binds a TCP listener and serves line-delimited JSON
-//! until a client issues `{"op":"shutdown"}`. `smoke` runs one request
+//! until a client issues `{"op":"shutdown"}`. Each request runs on its
+//! connection's thread: `--workers` caps how many run at once, `--queue`
+//! how many more may wait for a run slot (past both, `overloaded`), and
+//! `--shards` sizes the session registry. `smoke` runs one request
 //! of every class through an in-process server and exits non-zero if a
 //! required class fails — the hook `scripts/verify.sh` uses. `chaos`
 //! runs the fault-injection script (hard-down primary, retries, breaker
@@ -100,7 +103,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "copycat-serve listening on {addr} ({} workers, queue {})",
+        "copycat-serve listening on {addr} ({} running at once, {} waiting)",
         config.workers, config.queue_depth
     );
     match tcp::serve(listener, Server::new(config)) {

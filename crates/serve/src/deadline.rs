@@ -1,11 +1,12 @@
 //! Per-request deadlines with wall *and* virtual time.
 //!
-//! A request's budget starts at admission, so queue wait counts: a
-//! request that sat behind an overload misses its deadline even if its
-//! handler would have been fast. Handlers check the deadline at
-//! *operator boundaries* — dequeue, after session lookup, and after the
-//! engine operation — never mid-operator, so session state is always a
-//! consistent prefix of the request's effects.
+//! A request's budget starts before admission, so waiting for a run
+//! slot counts: a request that sat behind an overload misses its
+//! deadline even if its handler would have been fast. Handlers check the
+//! deadline at *operator boundaries* — on taking a run slot, after
+//! session lookup, and after the engine operation — never mid-operator,
+//! so session state is always a consistent prefix of the request's
+//! effects. A zero budget is spent on arrival.
 //!
 //! Besides the wall clock, a deadline can be charged **virtual
 //! latency**: [`copycat_services::Flaky`] accrues per-call latency as a
@@ -15,7 +16,7 @@
 //! without any thread ever sleeping — while production deployments feel
 //! the same accounting through the wall clock.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A request budget. `None` budget = no deadline.
 #[derive(Debug, Clone)]
@@ -47,10 +48,13 @@ impl Deadline {
 
     /// Whether the budget is exhausted.
     pub fn expired(&self) -> bool {
-        match self.budget_us {
-            Some(budget) => self.spent_us() > budget,
-            None => false,
-        }
+        self.remaining() == Some(Duration::ZERO)
+    }
+
+    /// Budget left (zero once exhausted); `None` without a budget.
+    pub fn remaining(&self) -> Option<Duration> {
+        self.budget_us
+            .map(|budget| Duration::from_micros(budget.saturating_sub(self.spent_us())))
     }
 }
 
@@ -73,6 +77,14 @@ mod tests {
         assert!(!d.expired());
         d.charge_virtual_ms(2);
         assert!(d.expired(), "51ms virtual must exceed a 50ms budget");
+    }
+
+    #[test]
+    fn zero_budget_is_spent_on_arrival() {
+        let d = Deadline::starting_now(Some(0));
+        assert!(d.expired());
+        assert_eq!(d.remaining(), Some(Duration::ZERO));
+        assert_eq!(Deadline::starting_now(None).remaining(), None);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! The server's metrics registry: counters and latency histograms per
 //! request class, aggregated once and read by the `stats` request.
 //!
-//! Everything is lock-free after construction — workers record with
-//! Release increments, the stats reader reconciles with Acquire loads
-//! ([`copycat_util::hist::Histogram`] underneath), and the snapshot
-//! walks the fixed [`Op::ALL`] table. The orderings matter because the
-//! drain invariant (`responses <= total`, with equality at quiescence)
-//! is checked by reconciling counters written by different threads: a
-//! request's `total` increment happens-before its outcome increment
-//! via the job channel, so a snapshot that reads outcomes *first* and
-//! totals *second* (see [`snapshot_json`](Metrics::snapshot_json)) can
-//! never observe a response without its admission.
+//! Everything is lock-free after construction — request threads record
+//! with Release increments, the stats reader reconciles with Acquire
+//! loads ([`copycat_util::hist::Histogram`] underneath), and the
+//! snapshot walks the fixed [`Op::ALL`] table. The orderings matter
+//! because the drain invariant (`responses <= total`, with equality at
+//! quiescence) is checked by reconciling counters written by different
+//! threads: a request's `total` increment precedes its outcome increment
+//! on the thread that runs it, so a snapshot that reads outcomes
+//! *first* and totals *second* (see
+//! [`snapshot_json`](Metrics::snapshot_json)) can never observe a
+//! response without its admission.
 //!
 //! Latency is recorded for
 //! *executed* requests; `overloaded` rejections are counted but not
@@ -32,7 +33,7 @@ pub struct ClassMetrics {
     pub ok: AtomicU64,
     /// Completed with a typed error (bad_request, no_such_session, …).
     pub error: AtomicU64,
-    /// Rejected at admission: queue full.
+    /// Rejected at admission: run slots and wait list full.
     pub overloaded: AtomicU64,
     /// Deadline exceeded (at any operator boundary).
     pub timeout: AtomicU64,
@@ -75,8 +76,8 @@ impl Metrics {
 
     /// Count a success and record its latency. Outcome increments are
     /// Release so an Acquire reader that observes one also observes
-    /// everything the worker published before it (the latency record,
-    /// and — via the job channel's edges — the admission increment).
+    /// everything the request thread published before it (the latency
+    /// record and the admission increment).
     pub fn ok(&self, op: Op, us: u64) {
         let c = self.class(op);
         c.latency.record_us(us);
@@ -97,7 +98,7 @@ impl Metrics {
         c.timeout.fetch_add(1, Ordering::Release);
     }
 
-    /// Count a queue-full rejection (not timed — it never ran).
+    /// Count an overload rejection (not timed — it never ran).
     pub fn overloaded(&self, op: Op) {
         self.class(op).overloaded.fetch_add(1, Ordering::Release);
     }
@@ -135,10 +136,10 @@ impl Metrics {
     /// zero traffic omitted.
     pub fn snapshot_json(&self) -> Json {
         // Read outcomes before totals: an outcome's Release increment
-        // happened-after its admission's (via the job channel), so the
-        // later Acquire load of `total` sees every admission behind an
+        // happened-after its admission's (same thread), so the later
+        // Acquire load of `total` sees every admission behind an
         // observed response — `responses <= total` holds even while
-        // workers are racing the snapshot.
+        // requests are racing the snapshot.
         let responses = self.grand_responses();
         let grand_total = self.grand_total();
         let mut classes = Vec::new();

@@ -10,10 +10,11 @@
 //! ```
 //!
 //! `id` is echoed verbatim in the response so clients can pipeline.
-//! `deadline_ms` is an optional per-request budget: queue wait, lock
-//! wait, execution, and any *virtual* service latency accrued by
-//! [`copycat_services::Flaky`] probes all draw from it, and the server
-//! checks it at operator boundaries (dequeue, post-lookup, post-engine).
+//! `deadline_ms` is an optional per-request budget: the wait for a run
+//! slot, lock wait, execution, and any *virtual* service latency accrued
+//! by [`copycat_services::Flaky`] probes all draw from it, and the server
+//! checks it at operator boundaries (admission, post-lookup,
+//! post-engine).
 //!
 //! A response is `{"id": …, "ok": true, "result": {…}}` or
 //! `{"id": …, "ok": false, "error": {"kind": "…", "message": "…"}}`.
@@ -26,10 +27,10 @@
 //! parameters are slices of the line (or of the parse arena, when they
 //! contained escapes); the id is echoed as the verbatim input slice; a
 //! warm parse of a hot-path request performs no heap allocation. The
-//! backing `(ZDoc, line)` pair is owned by whoever carries the request
-//! across threads (see [`crate::pool::Job`]) and pooled for reuse by
-//! the server's front door. Responses are assembled in a thread-local
-//! scratch buffer and copied out once at exact size.
+//! server and the router parse into one per-thread [`ZDoc`]
+//! ([`with_request`]), so the caller's line is never copied. Responses
+//! are assembled in a thread-local scratch buffer and copied out once
+//! at exact size.
 
 use copycat_util::json::{self, Json, JsonError};
 use copycat_util::zjson::{ZDoc, ZRef};
@@ -240,7 +241,8 @@ pub enum ErrorKind {
     NoSuchSession,
     /// `create_session` for a name already live.
     SessionExists,
-    /// The admission queue is full — retry later (backpressure).
+    /// Every run slot is taken and the wait list is full — retry later
+    /// (backpressure).
     Overloaded,
     /// The request's deadline elapsed (wall or virtual time).
     Timeout,
@@ -318,9 +320,9 @@ impl<'d> Request<'d> {
     }
 
     /// Rebuild the borrowed view over a doc + line pair that already
-    /// parsed successfully — e.g. after both were moved (owned) across
-    /// a worker queue. Re-slices the flat DOM; no re-parse. Returns
-    /// `None` if the pair never held a parsed request.
+    /// parsed successfully, without re-parsing: the flat DOM is
+    /// re-sliced. Returns `None` if the pair never held a parsed
+    /// request.
     pub fn rejoin(doc: &'d ZDoc, line: &'d str) -> Option<Request<'d>> {
         let body = doc.root(line)?;
         let (id, session, deadline_ms) = envelope(body);
@@ -377,10 +379,29 @@ impl<'d> Request<'d> {
     }
 }
 
+thread_local! {
+    /// This thread's request parse scratch: warm, a parse allocates
+    /// nothing.
+    static REQUEST_DOC: RefCell<ZDoc> = RefCell::new(ZDoc::new());
+}
+
+/// Parse `line` into this thread's scratch doc and hand the result to
+/// `f` (the error carries the raw id slice and the message).
+pub fn with_request<R>(
+    line: &str,
+    f: impl for<'d> FnOnce(Result<Request<'d>, (&'d str, String)>) -> R,
+) -> R {
+    REQUEST_DOC.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut doc) => f(Request::parse(&mut doc, line)),
+        // Unreachable re-entrancy guard: never poison the scratch.
+        Err(_) => f(Request::parse(&mut ZDoc::new(), line)),
+    })
+}
+
 // Response serialization: pooled scratch in, one exact-size copy out.
 // lint:hotpath(begin)
 thread_local! {
-    /// Per-worker response assembly buffer: responses are serialized
+    /// Per-thread response assembly buffer: responses are serialized
     /// here, then copied out once at exact size, so steady-state
     /// serialization never grows a fresh buffer.
     static RESPONSE_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
@@ -486,8 +507,8 @@ mod tests {
         let mut doc = ZDoc::new();
         let line = r#"{"id":7,"op":"render","session":"s"}"#.to_string();
         assert!(Request::parse(&mut doc, &line).is_ok());
-        // Simulate a move across a queue: the doc and line travel as
-        // owned values, then the view is re-joined without re-parsing.
+        // The doc and line move as owned values, then the view is
+        // re-joined without re-parsing.
         let (doc, line) = (doc, line);
         let req = Request::rejoin(&doc, &line).unwrap();
         assert_eq!(req.id, "7");

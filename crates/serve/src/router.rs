@@ -5,8 +5,8 @@
 //! shard; adding shards moves only the sessions whose ring interval
 //! changed. On top of placement it layers *durability by replay*:
 //!
-//! * Every **effectful** request (see [`Op::mutates`] and
-//!   [`response_is_effectful`]) is journaled to the session's
+//! * Every **effectful** request (a class that [`Op::mutates`], whose
+//!   [`Outcome`] says it ran) is journaled to the session's
 //!   [`SessionStore`] — an append-only WAL plus periodic snapshots —
 //!   **before the response is released** to the caller. A response you
 //!   received is a response that survives a crash (when
@@ -37,25 +37,16 @@
 //! an earlier one's durability. Different sessions proceed in
 //! parallel — the lock is per-name.
 
-use crate::protocol::{ok_response, Op, Request};
-use crate::server::{Server, ServerConfig};
+use crate::protocol::{ok_response, with_request, Op, Request};
+use crate::server::{Outcome, Server, ServerConfig};
 use copycat_store::{Fs, RecoveryReport, SessionStore, StoreStats};
 use copycat_util::hash::{FxHashMap, FxHasher};
 use copycat_util::json::{self, Json};
 use copycat_util::sync::Mutex;
-use copycat_util::zjson::{ZDoc, ZRef};
-use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-thread_local! {
-    /// Per-thread parse scratch for the router's own envelope peek —
-    /// warm, routing a request allocates nothing on the parse side.
-    /// Shard servers pool their own scratch, so no re-entrancy.
-    static ROUTER_DOC: RefCell<ZDoc> = RefCell::new(ZDoc::new());
-}
 
 /// Sizing and durability knobs for a [`Router`].
 #[derive(Debug, Clone)]
@@ -184,63 +175,6 @@ fn build_ring(shards: usize, vnodes: usize) -> Vec<(u64, usize)> {
         .collect();
     ring.sort_unstable();
     ring
-}
-
-thread_local! {
-    /// Scratch for classifying *response* lines. Distinct from
-    /// [`ROUTER_DOC`], which is still mutably borrowed by the request
-    /// view when responses get classified.
-    static RESPONSE_DOC: RefCell<ZDoc> = RefCell::new(ZDoc::new());
-}
-
-/// Parse a response line into the response scratch doc and hand the
-/// root to `f`. `None` on unparseable input.
-fn with_response_root<R>(resp: &str, f: impl FnOnce(Option<ZRef<'_>>) -> R) -> R {
-    RESPONSE_DOC.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut doc) => f(doc.parse(resp).ok()),
-        // Unreachable re-entrancy guard: never poison the scratch.
-        Err(_) => {
-            let mut doc = ZDoc::new();
-            f(doc.parse(resp).ok())
-        }
-    })
-}
-
-/// Whether the *top-level* `ok` member of a response is `true`.
-/// Structural on purpose: a payload that happens to contain the text
-/// `"ok":true` (an echoed request, an error message quoting a
-/// response) must not count.
-fn response_ok(resp: &str) -> bool {
-    with_response_root(resp, |root| {
-        root.and_then(|r| r.get("ok")).and_then(|v| v.as_bool()) == Some(true)
-    })
-}
-
-/// Whether a response proves the request *reached a session and ran*.
-/// Refused work (queue full, draining, unknown session, duplicate
-/// create) and requests that timed out before execution left no trace
-/// to replay; everything else — including `bad_request` after partial
-/// parameter validation and `unavailable` answers that advanced
-/// breaker machines — must be journaled, because replaying it
-/// reproduces the same state transitions. Classification only reads
-/// the top-level envelope (see [`response_ok`] on decoys) and borrows
-/// the line — no DOM is built on the journaling path.
-fn response_is_effectful(resp: &str) -> bool {
-    with_response_root(resp, |root| {
-        let Some(root) = root else { return true };
-        if root.get("ok").and_then(|v| v.as_bool()) == Some(true) {
-            return true;
-        }
-        let error = root.get("error");
-        let field = |key: &str| error.and_then(|e| e.get(key)).and_then(|v| v.as_str());
-        match field("kind").unwrap_or("") {
-            "overloaded" | "shutting_down" | "no_such_session" | "session_exists" => false,
-            // Queued/lock-wait timeouts never touched the engine; an
-            // execution timeout kept its effects (a consistent prefix).
-            "timeout" => field("message") == Some("deadline exceeded during execution"),
-            _ => true,
-        }
-    })
 }
 
 /// The journaled form of a request: its body with the `deadline_ms`
@@ -475,26 +409,22 @@ impl Router {
 
     /// Handle one request line, blocking until its response line —
     /// the same contract as [`Server::handle_line`], with placement
-    /// and durability layered on.
+    /// and durability layered on. The line is parsed once, here; shards
+    /// get the parsed request.
     pub fn handle_line(&self, line: &str) -> String {
-        ROUTER_DOC.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut doc) => self.route_line(&mut doc, line),
-            // Unreachable re-entrancy guard: never poison the scratch.
-            Err(_) => self.route_line(&mut ZDoc::new(), line),
+        with_request(line, |parsed| match parsed {
+            Ok(req) => self.route(&req),
+            // Shard 0 gives the identical bad_request answer (and its
+            // `invalid` metrics class).
+            Err((id, msg)) => self.shards[0].answer_unparseable(id, &msg),
         })
     }
 
-    fn route_line(&self, doc: &mut ZDoc, line: &str) -> String {
-        let req = match Request::parse(doc, line) {
-            // Unparseable requests go to shard 0 for the identical
-            // bad_request answer (and its `invalid` metrics class).
-            Err(_) => return self.shards[0].handle_line(line),
-            Ok(r) => r,
-        };
+    fn route(&self, req: &Request<'_>) -> String {
         match req.op {
             Op::Shutdown => {
                 for s in &self.shards {
-                    let _ = s.handle_line(line);
+                    let _ = s.handle_request(req);
                 }
                 return ok_response(
                     req.id,
@@ -513,7 +443,7 @@ impl Router {
         }
         let Some(name) = req.session else {
             // Session-less ops (ping) are stateless; any shard answers.
-            return self.shards[0].handle_line(line);
+            return self.shards[0].handle_request(req).0;
         };
         // Every session-scoped op serializes on the journal lock: it
         // orders the WAL like execution, and it is what `migrate_session`
@@ -522,10 +452,9 @@ impl Router {
         let journal = self.journal_entry(name);
         let mut j = journal.lock();
         let shard_idx = self.shard_of(name);
-        // lint:allow(guard-across-blocking) by design: WAL order must equal execution order, so the journal lock spans the shard call (which blocks on the worker reply channel)
-        let resp = self.shards[shard_idx].handle_line(line); // lint:allow(lock-order) name-based call graph merges Router::handle_line into this call; shards never lock router journals
+        let (resp, outcome) = self.shards[shard_idx].handle_request(req);
         if req.op == Op::CloseSession {
-            if response_ok(&resp) {
+            if outcome == Outcome::Ok {
                 // A durably *closed* session: remove its journal and
                 // its on-disk state (idempotent), and forget overrides.
                 if let Some(root) = &self.config.store_root {
@@ -538,8 +467,8 @@ impl Router {
             }
             return resp;
         }
-        if req.op.mutates() && response_is_effectful(&resp) {
-            let logged = logged_line(&req);
+        if req.op.mutates() && outcome != Outcome::Refused {
+            let logged = logged_line(req);
             j.history.push(logged.clone());
             if let Some(root) = self.config.store_root.clone() {
                 self.journal_durably(name, &root, &mut j, &logged);
@@ -634,7 +563,6 @@ impl Router {
             j.pending_sync = 0;
         }
         for line in &j.history {
-            // lint:allow(guard-across-blocking) replay under the journal lock IS the migration barrier: no new writes may interleave with the transfer
             let _ = self.shards[to].handle_line(line); // lint:allow(lock-order) false re-acquire from the Router::handle_line name merge; shards never lock router journals
         }
         // Vacate the source copy. Direct shard call: migration is an
@@ -644,7 +572,6 @@ impl Router {
             ("session".into(), Json::str(name)),
         ])
         .to_string();
-        // lint:allow(guard-across-blocking) the vacate close must land before the placement flips, still under the migration barrier
         let _ = self.shards[from].handle_line(&close); // lint:allow(lock-order) same Router::handle_line name merge as the replay loop above
         self.placed.lock().insert(name.to_string(), to);
         // relaxed: monotone stat; no reader reconciles it against state
@@ -792,16 +719,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "copycat-router-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use copycat_util::zjson::ZDoc;
 
     #[test]
     fn ring_lookup_is_consistent_and_total() {
@@ -837,75 +755,6 @@ mod tests {
         assert!(moved < 200, "only an interval moved, not the world: {moved}/400");
         small.shutdown();
         big.shutdown();
-    }
-
-    #[test]
-    fn effectful_classification_matches_the_protocol() {
-        assert!(response_is_effectful(r#"{"id":1,"ok":true,"result":{}}"#));
-        assert!(response_is_effectful(
-            r#"{"id":1,"ok":false,"error":{"kind":"bad_request","message":"x"}}"#
-        ));
-        assert!(response_is_effectful(
-            r#"{"id":1,"ok":false,"error":{"kind":"unavailable","message":"x"}}"#
-        ));
-        assert!(response_is_effectful(
-            r#"{"id":1,"ok":false,"error":{"kind":"timeout","message":"deadline exceeded during execution"}}"#
-        ));
-        for refused in [
-            r#"{"id":1,"ok":false,"error":{"kind":"overloaded","message":"x"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"shutting_down","message":"x"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"no_such_session","message":"x"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"session_exists","message":"x"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"timeout","message":"deadline exceeded while queued"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"timeout","message":"deadline exceeded awaiting session"}}"#,
-        ] {
-            assert!(!response_is_effectful(refused), "{refused}");
-        }
-    }
-
-    #[test]
-    fn decoy_ok_true_text_in_payloads_does_not_flip_classification() {
-        // The classifiers are structural: `"ok":true` appearing as
-        // *text* inside a message or echoed value must not make a
-        // refused response look effectful (journaling a refusal would
-        // replay a request the engine never ran).
-        let decoys = [
-            r#"{"id":1,"ok":false,"error":{"kind":"overloaded","message":"retry {\"ok\":true} later"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"no_such_session","message":"\"ok\":true"}}"#,
-            r#"{"id":1,"ok":false,"error":{"kind":"session_exists","message":"client sent \"ok\":true"}}"#,
-        ];
-        for resp in decoys {
-            assert!(!response_is_effectful(resp), "{resp}");
-            assert!(!response_ok(resp), "{resp}");
-        }
-        // A nested object member named `ok` is not the top-level one.
-        let nested = r#"{"id":1,"ok":false,"error":{"kind":"shutting_down","message":"x","detail":{"ok":true}}}"#;
-        assert!(!response_is_effectful(nested));
-        assert!(!response_ok(nested));
-        // And the genuine envelope still classifies.
-        assert!(response_ok(r#"{"id":1,"ok":true,"result":{"note":"\"ok\":false"}}"#));
-    }
-
-    #[test]
-    fn decoy_close_response_does_not_destroy_the_journal() {
-        // A failed close (no such session on the shard) whose error
-        // message quotes `"ok":true` must leave durable state alone:
-        // the close path keys journal destruction on `response_ok`.
-        let root = temp_root("decoy-close");
-        let router = Router::new(RouterConfig::durable(2, root.clone()));
-        let ok = router.handle_line(r#"{"id":1,"op":"create_session","session":"keep"}"#);
-        assert!(response_ok(&ok), "{ok}");
-        let paste = router.handle_line(
-            r#"{"id":2,"op":"open_doc","session":"keep","name":"D","headers":["A"],"rows":[["x"]]}"#,
-        );
-        assert!(response_ok(&paste), "{paste}");
-        // Closing a *different* session fails; state for `keep` stays.
-        let refused = router.handle_line(r#"{"id":3,"op":"close_session","session":"gone"}"#);
-        assert!(!response_ok(&refused), "{refused}");
-        let stats = router.handle_line(r#"{"id":4,"op":"session_stats","session":"keep"}"#);
-        assert!(response_ok(&stats), "{stats}");
-        router.shutdown();
-        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]

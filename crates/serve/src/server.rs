@@ -1,20 +1,22 @@
-//! The session server: admission → bounded pool → per-session engine
-//! dispatch → metrics, with graceful drain.
+//! The session server: admission gate → per-session engine dispatch →
+//! metrics, with graceful drain.
 //!
 //! [`Server::handle_line`] *is* the in-process transport: callers hand
-//! it one request line and block for the one response line. The TCP
-//! listener ([`crate::tcp`]) is a thin byte pump over the same method,
-//! so tests and benches exercise exactly the code a socket client hits.
+//! it one request line and block for the one response line, and the
+//! request runs on the calling thread. The TCP listener
+//! ([`crate::tcp`]) is a thin byte pump over the same method, so tests
+//! and benches exercise exactly the code a socket client hits.
 //!
 //! Request lifecycle and where deadlines are checked:
 //!
 //! 1. **Parse** — failures are counted under the synthetic `invalid`
-//!    class and answered `bad_request` inline.
-//! 2. **Admission** — draining servers answer `shutting_down`; a full
-//!    queue answers `overloaded`. The deadline starts here, so time
-//!    spent queued counts against the budget.
-//! 3. **Dequeue** (worker) — expired requests answer `timeout` without
-//!    touching any session.
+//!    class and answered `bad_request`.
+//! 2. **Admission** — draining servers answer `shutting_down`; with
+//!    every run slot taken and the wait list full, `overloaded`. The
+//!    deadline starts before admission, so time spent waiting for a
+//!    slot counts against the budget.
+//! 3. **Slot taken** — expired requests answer `timeout` without
+//!    touching any session (also when the budget lapses mid-wait).
 //! 4. **Post-lookup** — after the session lock is taken but before the
 //!    engine runs.
 //! 5. **Post-engine** — after the engine op, with any *virtual* service
@@ -22,14 +24,16 @@
 //!    op's effects are kept (a consistent prefix), but the client is
 //!    told `timeout`.
 //!
+//! Every answer also carries an [`Outcome`], decided where the answer
+//! is made: the durable router journals exactly the requests that ran.
+//!
 //! Responses never embed timing, so a given request script produces
 //! byte-identical responses whether sessions are driven sequentially or
 //! concurrently — the determinism contract the serve tests pin.
 
 use crate::deadline::Deadline;
 use crate::metrics::Metrics;
-use crate::pool::{Job, Pool, SubmitError};
-use crate::protocol::{err_response, ok_response, ErrorKind, Op, Request};
+use crate::protocol::{err_response, ok_response, with_request, ErrorKind, Op, Request};
 use crate::registry::{SessionRegistry, SessionState};
 use copycat_core::{explain, export, CopyCat, WorldBase};
 use copycat_document::corpus::contact_sheet;
@@ -42,18 +46,17 @@ use copycat_services::{
 use copycat_util::hash::FxHashMap;
 use copycat_util::json::{Json, JsonError};
 use copycat_util::sync::Mutex;
-use copycat_util::zjson::ZDoc;
+use copycat_util::zjson::ZRef;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
-/// Pool and registry sizing.
+/// Admission and registry sizing.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Requests running at once.
     pub workers: usize,
-    /// Admission queue depth; beyond it requests are `overloaded`.
+    /// Requests that may wait for a run slot; beyond it requests are
+    /// `overloaded`.
     pub queue_depth: usize,
     /// Registry shard count (rounded up to a power of two).
     pub shards: usize,
@@ -65,35 +68,131 @@ impl Default for ServerConfig {
     }
 }
 
-/// A pooled line buffer larger than this is dropped instead of
-/// returned, so one pathological request cannot pin megabytes.
-const MAX_POOLED_LINE_CAPACITY: usize = 64 * 1024;
+/// Largest world one request may generate. perfbench's 1,024-venue
+/// world is the biggest in the tree; without a cap a single
+/// `create_session`/`register_world` could exhaust memory.
+const MAX_WORLD_VENUES: usize = 65_536;
 
-/// State shared between the front door and the workers.
-pub(crate) struct Inner {
+/// How a request ended, decided where the server answered it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// It ran and succeeded.
+    Ok,
+    /// It ran and failed (`bad_request` after partial validation,
+    /// `unavailable`, `internal`, a timeout during execution). Its
+    /// effects, if any, are a consistent prefix that replay reproduces.
+    Failed,
+    /// It was turned away before touching any session: overloaded,
+    /// draining, unknown session, duplicate create, or a deadline that
+    /// lapsed before execution. There is nothing to replay.
+    Refused,
+}
+
+/// Why an op produced no result. `refused` is set at the refusal site.
+struct Failure {
+    kind: ErrorKind,
+    msg: String,
+    refused: bool,
+}
+
+impl From<(ErrorKind, String)> for Failure {
+    fn from((kind, msg): (ErrorKind, String)) -> Failure {
+        Failure { kind, msg, refused: false }
+    }
+}
+
+fn refuse(kind: ErrorKind, msg: String) -> Failure {
+    Failure { kind, msg, refused: true }
+}
+
+type OpResult = Result<Json, Failure>;
+
+/// Why the gate turned a request away.
+enum Turned {
+    Draining,
+    Full,
+    Expired,
+}
+
+#[derive(Default)]
+struct Slots {
+    running: usize,
+    waiting: usize,
+    draining: bool,
+}
+
+/// The admission gate: at most `workers` requests run at once and at
+/// most `queue_depth` more wait for a slot. A request past both limits
+/// is refused now rather than joining a backlog whose every entry would
+/// miss its deadline anyway.
+struct Gate {
+    slots: Mutex<Slots>,
+    /// Signaled whenever a run slot frees.
+    freed: Condvar,
+    workers: usize,
+    queue_depth: usize,
+}
+
+/// A held run slot; dropping it (also while unwinding) frees the slot.
+struct Slot<'g>(&'g Gate);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.slots.lock().running -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+impl Gate {
+    /// Take a run slot, waiting for one while the wait list has room
+    /// and the deadline has budget left.
+    fn admit(&self, deadline: &Deadline) -> Result<Slot<'_>, Turned> {
+        let mut slots = self.slots.lock();
+        if slots.draining {
+            return Err(Turned::Draining);
+        }
+        if slots.running >= self.workers {
+            if slots.waiting >= self.queue_depth {
+                return Err(Turned::Full);
+            }
+            slots.waiting += 1;
+            while slots.running >= self.workers && !deadline.expired() {
+                slots = match deadline.remaining() {
+                    None => self.freed.wait(slots).unwrap_or_else(PoisonError::into_inner),
+                    Some(left) => {
+                        let woken = self.freed.wait_timeout(slots, left);
+                        woken.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                };
+            }
+            slots.waiting -= 1;
+        }
+        if deadline.expired() {
+            // Pass on a wake-up this waiter may have consumed, so a
+            // freed slot never strands the next waiter.
+            self.freed.notify_one();
+            return Err(Turned::Expired);
+        }
+        slots.running += 1;
+        Ok(Slot(self))
+    }
+
+    /// Turn away every later arrival; admitted requests still finish.
+    fn close(&self) {
+        self.slots.lock().draining = true;
+    }
+}
+
+/// The multi-tenant session server.
+pub struct Server {
     registry: SessionRegistry,
     metrics: Metrics,
-    accepting: AtomicBool,
-    /// Reusable `(parse index, line buffer)` pairs: taken at admission,
-    /// returned by the worker after the response is rendered. Warm,
-    /// request handling performs no parse-side allocations.
-    scratch: Mutex<Vec<(ZDoc, String)>>,
-    /// Upper bound on pooled pairs — enough for every queue slot plus
-    /// every in-flight worker.
-    scratch_cap: usize,
+    gate: Gate,
     /// Shared world bases, memoized by `(seed, venues)`: every
     /// `create_session {"world": …}` naming the same config overlays the
     /// same frozen base (see [`WorldBase`]).
     worlds: Mutex<FxHashMap<(u64, usize), Arc<WorldBase>>>,
 }
-
-/// The multi-tenant session server.
-pub struct Server {
-    inner: Arc<Inner>,
-    pool: Pool,
-}
-
-type OpResult = Result<Json, (ErrorKind, String)>;
 
 fn bad(e: JsonError) -> (ErrorKind, String) {
     (ErrorKind::BadRequest, e.to_string())
@@ -146,24 +245,22 @@ fn jhealth(snap: &HealthSnapshot) -> Json {
     ])
 }
 
+
 impl Server {
-    /// A server with the given sizing.
+    /// A server with the given sizing. Spawns no threads: every request
+    /// runs on the thread that hands it in.
     pub fn new(config: ServerConfig) -> Server {
-        let inner = Arc::new(Inner {
+        Server {
             registry: SessionRegistry::new(config.shards),
             metrics: Metrics::new(),
-            accepting: AtomicBool::new(true),
-            scratch: Mutex::new(Vec::new()),
-            scratch_cap: config.workers + config.queue_depth + 1,
+            gate: Gate {
+                slots: Mutex::new(Slots::default()),
+                freed: Condvar::new(),
+                workers: config.workers.max(1),
+                queue_depth: config.queue_depth.max(1),
+            },
             worlds: Mutex::new(FxHashMap::default()),
-        });
-        let worker_inner = Arc::clone(&inner);
-        let pool = Pool::new(
-            config.workers,
-            config.queue_depth,
-            Arc::new(move |job| worker_inner.handle_job(job)),
-        );
-        Server { inner, pool }
+        }
     }
 
     /// A server with default sizing.
@@ -173,102 +270,42 @@ impl Server {
 
     /// The metrics registry (test/bench introspection).
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        &self.metrics
     }
 
     /// The session registry (test introspection).
     pub fn registry(&self) -> &SessionRegistry {
-        &self.inner.registry
+        &self.registry
     }
 
     /// Whether the server has begun draining.
     pub fn draining(&self) -> bool {
-        !self.inner.accepting.load(Ordering::SeqCst)
+        self.gate.slots.lock().draining
     }
 
-    /// Jobs currently queued.
-    pub fn queued(&self) -> usize {
-        self.pool.queued()
-    }
-
-    /// Handle one request line, blocking until its response line.
+    /// Handle one request line on the calling thread and return its
+    /// response line. The line parses into this thread's scratch doc.
     ///
     /// This is the in-process transport: every transport funnels here.
     pub fn handle_line(&self, line: &str) -> String {
-        let metrics = &self.inner.metrics;
-        let (mut doc, mut buf) = self.inner.take_scratch();
-        buf.push_str(line);
-        // Parsed fields borrow `doc`/`buf`; extract the `Copy` envelope
-        // (or render an inline response) so the borrows end before both
-        // move into the job.
-        enum Parsed {
-            Admit { op: Op, id_span: Option<(u32, u32)>, deadline_ms: Option<u64> },
-            Inline(String),
-        }
-        let parsed = match Request::parse(&mut doc, &buf) {
-            Ok(req) => {
-                let op = req.op;
-                metrics.admitted(op);
-                // `shutdown` is handled inline: it must work even when
-                // the queue is full, and it is what closes the front
-                // door.
-                if op == Op::Shutdown {
-                    self.inner.accepting.store(false, Ordering::SeqCst);
-                    metrics.ok(op, 0);
-                    Parsed::Inline(ok_response(req.id, &obj(vec![("draining", Json::Bool(true))])))
-                } else if self.draining() {
-                    metrics.shed(op);
-                    Parsed::Inline(err_response(req.id, ErrorKind::ShuttingDown, "server is draining"))
-                } else {
-                    Parsed::Admit {
-                        op,
-                        id_span: req.body.get("id").map(|v| v.raw_span()),
-                        deadline_ms: req.deadline_ms,
-                    }
-                }
-            }
-            Err((id, msg)) => {
-                metrics.admitted(Op::Invalid);
-                metrics.error(Op::Invalid, 0);
-                Parsed::Inline(err_response(id, ErrorKind::BadRequest, &msg))
-            }
-        };
-        let (op, id_span, deadline_ms) = match parsed {
-            Parsed::Inline(resp) => {
-                self.inner.put_scratch(doc, buf);
-                return resp;
-            }
-            Parsed::Admit { op, id_span, deadline_ms } => (op, id_span, deadline_ms),
-        };
-        let deadline = Deadline::starting_now(deadline_ms);
-        let (reply, reply_rx) = sync_channel(1);
-        let job = Job { line: buf, doc, op, id_span, deadline, reply };
-        match self.pool.submit(job) {
-            Ok(()) => match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    // Unreachable by construction (workers always reply,
-                    // even for drained jobs) — but never hang a client.
-                    metrics.error(op, 0);
-                    err_response("null", ErrorKind::Internal, "worker dropped the reply")
-                }
-            },
-            Err((job, SubmitError::Full)) => {
-                metrics.overloaded(op);
-                let resp =
-                    err_response(job.id_raw(), ErrorKind::Overloaded, "admission queue full; retry");
-                let Job { line, doc, .. } = job;
-                self.inner.put_scratch(doc, line);
-                resp
-            }
-            Err((job, SubmitError::Closed)) => {
-                metrics.shed(op);
-                let resp = err_response(job.id_raw(), ErrorKind::ShuttingDown, "server is draining");
-                let Job { line, doc, .. } = job;
-                self.inner.put_scratch(doc, line);
-                resp
-            }
-        }
+        with_request(line, |parsed| match parsed {
+            Ok(req) => self.handle_request(&req).0,
+            Err((id, msg)) => self.answer_unparseable(id, &msg),
+        })
+    }
+
+    /// Handle one parsed request: its response line plus how it ended.
+    pub fn handle_request(&self, req: &Request<'_>) -> (String, Outcome) {
+        self.execute(req, |deadline| self.dispatch(req, deadline))
+    }
+
+    /// The `bad_request` answer to a line that did not parse as a
+    /// request (`id` is the raw id slice, `"null"` when unknown),
+    /// counted under the `invalid` class.
+    pub fn answer_unparseable(&self, id: &str, msg: &str) -> String {
+        self.metrics.admitted(Op::Invalid);
+        self.metrics.error(Op::Invalid, 0);
+        err_response(id, ErrorKind::BadRequest, msg)
     }
 
     /// [`handle_line`](Server::handle_line) plus response parsing, for
@@ -278,34 +315,73 @@ impl Server {
         Json::parse(&self.handle_line(line)).expect("server responses are valid JSON")
     }
 
-    /// Graceful shutdown: stop admitting, drain queued work, join the
-    /// workers. Every already-admitted request still gets its response.
+    /// Graceful shutdown: stop admitting. Taking `self` by value means
+    /// no request can still be in flight.
     pub fn shutdown(self) {
-        self.inner.accepting.store(false, Ordering::SeqCst);
-        self.pool.shutdown();
-    }
-}
-
-impl Inner {
-    /// A `(doc, line)` scratch pair, pooled or fresh.
-    fn take_scratch(&self) -> (ZDoc, String) {
-        self.scratch
-            .lock()
-            .pop()
-            .unwrap_or_else(|| (ZDoc::new(), String::new()))
+        self.gate.close();
     }
 
-    /// Return a scratch pair for reuse. The doc's node/arena capacity is
-    /// the whole point — a warm pair parses the next request without
-    /// allocating.
-    fn put_scratch(&self, doc: ZDoc, mut line: String) {
-        if line.capacity() > MAX_POOLED_LINE_CAPACITY {
-            return;
+    /// Admit `req`, run `op` under a run slot, and answer. `shutdown`
+    /// bypasses the gate: it must work even when every slot is taken,
+    /// and it is what closes admission.
+    fn execute(
+        &self,
+        req: &Request<'_>,
+        op: impl FnOnce(&mut Deadline) -> OpResult,
+    ) -> (String, Outcome) {
+        let kind = req.op;
+        let mut deadline = Deadline::starting_now(req.deadline_ms);
+        self.metrics.admitted(kind);
+        if kind == Op::Shutdown {
+            self.gate.close();
+            self.metrics.ok(kind, 0);
+            let resp = ok_response(req.id, &obj(vec![("draining", Json::Bool(true))]));
+            return (resp, Outcome::Ok);
         }
-        line.clear();
-        let mut pool = self.scratch.lock();
-        if pool.len() < self.scratch_cap {
-            pool.push((doc, line));
+        let _slot = match self.gate.admit(&deadline) {
+            Ok(slot) => slot,
+            Err(Turned::Draining) => {
+                self.metrics.shed(kind);
+                let resp = err_response(req.id, ErrorKind::ShuttingDown, "server is draining");
+                return (resp, Outcome::Refused);
+            }
+            Err(Turned::Full) => {
+                self.metrics.overloaded(kind);
+                let msg = "admission queue full; retry";
+                return (err_response(req.id, ErrorKind::Overloaded, msg), Outcome::Refused);
+            }
+            Err(Turned::Expired) => {
+                self.metrics.timeout(kind, deadline.spent_us());
+                let msg = "deadline exceeded while queued";
+                return (err_response(req.id, ErrorKind::Timeout, msg), Outcome::Refused);
+            }
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| op(&mut deadline)));
+        let spent = deadline.spent_us();
+        match result {
+            Ok(Ok(_)) if deadline.expired() => {
+                self.metrics.timeout(kind, spent);
+                let resp =
+                    err_response(req.id, ErrorKind::Timeout, "deadline exceeded during execution");
+                (resp, Outcome::Failed)
+            }
+            Ok(Ok(json)) => {
+                self.metrics.ok(kind, spent);
+                (ok_response(req.id, &json), Outcome::Ok)
+            }
+            Ok(Err(failure)) => {
+                if failure.kind == ErrorKind::Timeout {
+                    self.metrics.timeout(kind, spent);
+                } else {
+                    self.metrics.error(kind, spent);
+                }
+                let outcome = if failure.refused { Outcome::Refused } else { Outcome::Failed };
+                (err_response(req.id, failure.kind, &failure.msg), outcome)
+            }
+            Err(_) => {
+                self.metrics.error(kind, spent);
+                (err_response(req.id, ErrorKind::Internal, "handler panicked"), Outcome::Failed)
+            }
         }
     }
 
@@ -320,61 +396,6 @@ impl Inner {
         )
     }
 
-    fn handle_job(&self, job: Job) {
-        let Job { line, doc, op, id_span, mut deadline, reply } = job;
-        if deadline.expired() {
-            self.metrics.timeout(op, deadline.spent_us());
-            let id = match id_span {
-                Some((start, end)) => &line[start as usize..end as usize],
-                None => "null",
-            };
-            let _ = reply.send(err_response(id, ErrorKind::Timeout, "deadline exceeded while queued"));
-            self.put_scratch(doc, line);
-            return;
-        }
-        let resp = match Request::rejoin(&doc, &line) {
-            // Unreachable by construction: every admitted job carries
-            // the doc its line parsed into.
-            None => {
-                self.metrics.error(op, deadline.spent_us());
-                err_response("null", ErrorKind::Internal, "request line lost in transit")
-            }
-            Some(req) => {
-                let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(&req, &mut deadline)));
-                let spent = deadline.spent_us();
-                match result {
-                    Ok(Ok(json)) => {
-                        if deadline.expired() {
-                            self.metrics.timeout(op, spent);
-                            err_response(
-                                req.id,
-                                ErrorKind::Timeout,
-                                "deadline exceeded during execution",
-                            )
-                        } else {
-                            self.metrics.ok(op, spent);
-                            ok_response(req.id, &json)
-                        }
-                    }
-                    Ok(Err((kind, msg))) => {
-                        if kind == ErrorKind::Timeout {
-                            self.metrics.timeout(op, spent);
-                        } else {
-                            self.metrics.error(op, spent);
-                        }
-                        err_response(req.id, kind, &msg)
-                    }
-                    Err(_) => {
-                        self.metrics.error(op, spent);
-                        err_response(req.id, ErrorKind::Internal, "handler panicked")
-                    }
-                }
-            }
-        };
-        let _ = reply.send(resp);
-        self.put_scratch(doc, line);
-    }
-
     /// Run a session-scoped op under the session lock, charging any
     /// virtual service latency the op accrued to the request deadline.
     fn with_session<F>(&self, req: &Request, deadline: &mut Deadline, f: F) -> OpResult
@@ -384,12 +405,14 @@ impl Inner {
         let name = req
             .session
             .ok_or_else(|| (ErrorKind::BadRequest, "missing \"session\"".to_string()))?;
-        let session = self.registry.get(name).map_err(|_| {
-            (ErrorKind::NoSuchSession, format!("no session named {name:?}"))
-        })?;
+        let session = self
+            .registry
+            .get(name)
+            .map_err(|_| refuse(ErrorKind::NoSuchSession, format!("no session named {name:?}")))?;
         let mut state = session.state.lock();
         if deadline.expired() {
-            return Err((ErrorKind::Timeout, "deadline exceeded awaiting session".to_string()));
+            let msg = "deadline exceeded awaiting session".to_string();
+            return Err(refuse(ErrorKind::Timeout, msg));
         }
         let virtual_before = state.virtual_latency_ms();
         let result = f(&mut state);
@@ -440,7 +463,8 @@ impl Inner {
                     return Err((
                         ErrorKind::Unavailable,
                         format!("no completions; services down: {}", tripped.join(", ")),
-                    ));
+                    )
+                        .into());
                 }
                 let listed: Vec<Json> = s
                     .last_suggestions
@@ -542,7 +566,8 @@ impl Inner {
                         .collect::<Result<_, _>>()?,
                     None => (0..s.last_queries.len()).filter(|&i| i != accept).collect(),
                     Some(_) => {
-                        return Err((ErrorKind::BadRequest, "\"reject\" must be an array".into()))
+                        let msg = "\"reject\" must be an array".to_string();
+                        return Err((ErrorKind::BadRequest, msg).into());
                     }
                 };
                 let accepted = s.last_queries.get(accept).cloned().ok_or_else(|| {
@@ -580,7 +605,8 @@ impl Inner {
                         return Err((
                             ErrorKind::BadRequest,
                             format!("unknown format {other:?} (csv|json|xml)"),
-                        ))
+                        )
+                            .into())
                     }
                 };
                 Ok(obj(vec![("format", Json::str(format)), ("data", Json::str(&data))]))
@@ -670,11 +696,12 @@ impl Inner {
                     s.engine.list_transforms().iter().map(jtransform).collect();
                 Ok(obj(vec![("transforms", Json::Arr(listed))]))
             }),
-            // Handled inline at admission; a worker never sees them.
+            // Answered before admission; dispatch never sees them.
             Op::Shutdown | Op::Invalid => Err((
                 ErrorKind::Internal,
-                format!("{:?} must not reach the pool", req.op),
-            )),
+                format!("{:?} must not reach dispatch", req.op),
+            )
+                .into()),
         }
     }
 
@@ -686,26 +713,18 @@ impl Inner {
         // over the memoized shared base for that config — kilobytes of
         // marginal state instead of a rebuilt corpus. Without one it is
         // a flat, private engine (the pre-CoW behavior, byte-for-byte).
+        let exists =
+            |_| refuse(ErrorKind::SessionExists, format!("session {name:?} already exists"));
         match req.body.get("world") {
             None => {
-                self.registry.create(name, CopyCat::new()).map_err(|_| {
-                    (ErrorKind::SessionExists, format!("session {name:?} already exists"))
-                })?;
+                self.registry.create(name, CopyCat::new()).map_err(exists)?;
                 Ok(obj(vec![("session", Json::str(name))]))
             }
             Some(w) if w.is_obj() => {
-                let mut config = WorldConfig::default();
-                if let Some(seed) = w.field("seed").as_f64() {
-                    config.seed = seed as u64;
-                }
-                if let Some(venues) = w.field("venues").as_f64() {
-                    config.venues = (venues as usize).max(1);
-                }
+                let config = world_config(w)?;
                 let base = self.shared_world(&config);
                 let session =
-                    self.registry.create(name, CopyCat::with_base(&base)).map_err(|_| {
-                        (ErrorKind::SessionExists, format!("session {name:?} already exists"))
-                    })?;
+                    self.registry.create(name, CopyCat::with_base(&base)).map_err(exists)?;
                 session.state.lock().world = Some(base.world());
                 Ok(obj(vec![
                     ("session", Json::str(name)),
@@ -719,7 +738,9 @@ impl Inner {
                     ),
                 ]))
             }
-            Some(_) => Err((ErrorKind::BadRequest, "\"world\" must be an object".to_string())),
+            Some(_) => {
+                Err((ErrorKind::BadRequest, "\"world\" must be an object".to_string()).into())
+            }
         }
     }
 
@@ -744,7 +765,7 @@ impl Inner {
             .ok_or_else(|| (ErrorKind::BadRequest, "missing \"session\"".to_string()))?;
         self.registry
             .remove(name)
-            .map_err(|_| (ErrorKind::NoSuchSession, format!("no session named {name:?}")))?;
+            .map_err(|_| refuse(ErrorKind::NoSuchSession, format!("no session named {name:?}")))?;
         Ok(obj(vec![("closed", Json::str(name))]))
     }
 
@@ -806,19 +827,35 @@ fn open_doc(req: &Request, s: &mut SessionState) -> OpResult {
 
 fn paste(req: &Request, s: &mut SessionState) -> OpResult {
     let doc = req.usize_param("doc").map_err(bad)?;
+    let doc = u32::try_from(doc)
+        .map_err(|_| (ErrorKind::BadRequest, format!("no document {doc}: ids fit in u32")))?;
     let values = req.strings_param("values").map_err(bad)?;
-    let suggested = s.engine.paste_example(DocumentId(doc as u32), &values);
+    let suggested = s.engine.paste_example(DocumentId(doc), &values);
     Ok(obj(vec![("suggested", jnum(suggested))]))
 }
 
-fn register_world(req: &Request, s: &mut SessionState) -> OpResult {
+/// The `{"seed", "venues"}` world config shared by `create_session`'s
+/// `"world"` object and `register_world`; more than
+/// [`MAX_WORLD_VENUES`] venues is a `bad_request`.
+fn world_config(params: ZRef<'_>) -> Result<WorldConfig, (ErrorKind, String)> {
     let mut config = WorldConfig::default();
-    if let Some(seed) = req.body.field("seed").as_f64() {
+    if let Some(seed) = params.field("seed").as_f64() {
         config.seed = seed as u64;
     }
-    if let Some(venues) = req.body.field("venues").as_f64() {
+    if let Some(venues) = params.field("venues").as_f64() {
+        if venues > MAX_WORLD_VENUES as f64 {
+            return Err((
+                ErrorKind::BadRequest,
+                format!("\"venues\" must be at most {MAX_WORLD_VENUES}"),
+            ));
+        }
         config.venues = (venues as usize).max(1);
     }
+    Ok(config)
+}
+
+fn register_world(req: &Request, s: &mut SessionState) -> OpResult {
+    let config = world_config(req.body)?;
     let world = Arc::new(World::generate(&config));
     s.engine.register_service(Arc::new(ZipResolver::new(Arc::clone(&world))));
     s.engine.register_service(Arc::new(Geocoder::new(Arc::clone(&world))));
@@ -918,4 +955,29 @@ fn rows_param(req: &Request, key: &str) -> Result<Vec<Vec<String>>, (ErrorKind, 
                 .collect()
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use copycat_util::zjson::ZDoc;
+
+    #[test]
+    fn a_panicking_op_answers_internal_and_frees_its_slot() {
+        let server = Server::new(ServerConfig { workers: 1, queue_depth: 1, shards: 1 });
+        let mut doc = ZDoc::new();
+        let req = Request::parse(&mut doc, r#"{"id":1,"op":"ping"}"#).unwrap();
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        let (resp, outcome) = server.execute(&req, |_| panic!("injected op failure"));
+        std::panic::set_hook(prev_hook);
+        let parsed = Json::parse(&resp).unwrap();
+        assert_eq!(parsed["error"]["kind"].as_str(), Some("internal"), "{resp}");
+        assert_eq!(outcome, Outcome::Failed);
+        // One run slot: had the panic leaked it, this request would wait
+        // out its deadline instead of running.
+        let next = server.handle(r#"{"id":2,"op":"ping","deadline_ms":1000}"#);
+        assert_eq!(next["ok"].as_bool(), Some(true), "{next}");
+        assert_eq!(server.metrics().grand_responses(), server.metrics().grand_total());
+    }
 }

@@ -11,7 +11,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 
 /// Serve `listener` until a client issues `shutdown`, then drain and
-/// return. Consumes the server (shutdown joins its workers).
+/// return. Consumes the server once every connection thread has joined.
 pub fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
     // A scope (rather than detached spawns) guarantees every connection
@@ -29,8 +29,9 @@ pub fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
             });
         }
     });
-    // Drain even when the accept loop died on an I/O error: admitted
-    // work still gets its responses.
+    // Close admission even when the accept loop died on an I/O error;
+    // the scope has joined every connection, so every admitted request
+    // already has its response.
     server.shutdown();
     accepted
 }

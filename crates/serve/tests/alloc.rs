@@ -1,6 +1,6 @@
 //! Counting-allocator pin for the zero-copy hot path: a warm request
 //! parse — the per-request work `Server::handle_line` does before
-//! queueing — performs **zero** heap allocations, string payloads
+//! admission — performs **zero** heap allocations, string payloads
 //! included. This file holds exactly one test because the global
 //! allocator counts every thread in the process.
 

@@ -2,7 +2,7 @@
 //!
 //! The contract under test: a [`Router`] with a durable store that is
 //! *dropped without shutdown* (the crash simulation — buffered journal
-//! records and worker pools die abruptly) and then rebuilt with
+//! records die with it) and then rebuilt with
 //! [`Router::recover`] serves **byte-identical** responses to a control
 //! router that never crashed. Determinism of the protocol (responses
 //! carry no timing, engines are seeded) is what makes replay a correct
@@ -637,6 +637,123 @@ fn closed_sessions_stay_closed_after_recovery() {
     let sessions = j["result"]["sessions"].to_string();
     assert!(sessions.contains("kept"), "{listing}");
     assert!(!sessions.contains("gone"), "closed tenant resurrected: {listing}");
+    recovered.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The journaling rule end to end: a request the server refused —
+/// `session_exists`, `no_such_session`, a timeout while queued or
+/// awaiting the session, `overloaded`, `shutting_down` — leaves no
+/// record, while a mutating `bad_request` ran and is journaled. The
+/// journal holds exactly the effectful lines, and recovery answers
+/// byte-identically.
+#[test]
+fn refused_requests_are_never_journaled() {
+    use copycat_serve::protocol::Op;
+    use std::sync::atomic::Ordering;
+    use std::time::Duration;
+
+    let root = temp_root("refused");
+    // One shard with one run slot and one wait slot, so overload is
+    // reachable with two blocked requests.
+    let config = || RouterConfig {
+        shards: 1,
+        server: ServerConfig { workers: 1, queue_depth: 1, shards: 2 },
+        store_root: Some(root.clone()),
+        ..RouterConfig::default()
+    };
+    let router = Router::new(config());
+    let admitted = |op: Op| router.shard(0).metrics().class(op).total.load(Ordering::Acquire);
+    let kind = |resp: &str| -> String {
+        let j = Json::parse(resp).expect("json");
+        j["error"]["kind"].as_str().unwrap_or("ok").to_string()
+    };
+    let effectful = [
+        r#"{"id":1,"op":"create_session","session":"s"}"#,
+        r#"{"id":2,"op":"create_session","session":"t"}"#,
+        r#"{"id":3,"op":"create_session","session":"u"}"#,
+        r#"{"id":4,"op":"open_doc","session":"s","name":"D","headers":["A"],"rows":[["x"]]}"#,
+        // Mutating and ran: a bad_request after the session lock.
+        r#"{"id":5,"op":"name_column","session":"s","col":0}"#,
+    ];
+    let answers: Vec<String> = effectful.iter().map(|l| kind(&router.handle_line(l))).collect();
+    assert_eq!(answers, ["ok", "ok", "ok", "ok", "bad_request"]);
+
+    for (line, expected) in [
+        (r#"{"id":6,"op":"create_session","session":"s"}"#, "session_exists"),
+        (r#"{"id":7,"op":"open_doc","session":"ghost","name":"D","headers":[],"rows":[]}"#, "no_such_session"),
+        (r#"{"id":8,"op":"close_session","session":"ghost"}"#, "no_such_session"),
+        (r#"{"id":9,"op":"paste","session":"s","doc":0,"values":["x"],"deadline_ms":0}"#, "timeout"),
+        // A refused close must leave the session's durable state alone.
+        (r#"{"id":9,"op":"close_session","session":"s","deadline_ms":0}"#, "timeout"),
+    ] {
+        assert_eq!(kind(&router.handle_line(line)), expected, "{line}");
+    }
+
+    // Timeout awaiting the session: its deadline starts before the
+    // admission count moves, and the session lock is held past it.
+    let session = router.shard(0).registry().get("s").expect("session s");
+    let held = session.state.lock();
+    let before = admitted(Op::AcceptRows);
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            router.handle_line(r#"{"id":10,"op":"accept_rows","session":"s","deadline_ms":1}"#)
+        });
+        while admitted(Op::AcceptRows) == before {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        drop(held);
+        assert_eq!(kind(&waiter.join().expect("waiter")), "timeout");
+    });
+
+    // Overloaded: `render t` holds the run slot (blocked on t's lock),
+    // `render u` waits, and a mutation for s finds no room.
+    let session = router.shard(0).registry().get("t").expect("session t");
+    let held = session.state.lock();
+    let before = admitted(Op::Render);
+    std::thread::scope(|scope| {
+        let renders: Vec<_> = ["t", "u"]
+            .iter()
+            .map(|name| {
+                let line = format!("{{\"id\":11,\"op\":\"render\",\"session\":\"{name}\"}}");
+                let router = &router;
+                scope.spawn(move || router.handle_line(&line))
+            })
+            .collect();
+        while admitted(Op::Render) < before + 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let line = r#"{"id":12,"op":"open_doc","session":"s","name":"E","headers":[],"rows":[]}"#;
+        assert_eq!(kind(&router.handle_line(line)), "overloaded");
+        drop(held);
+        for r in renders {
+            assert_eq!(kind(&r.join().expect("render")), "ok");
+        }
+    });
+
+    let probe_all = |r: &Router| -> Vec<String> {
+        ["s", "t", "u"].iter().flat_map(|name| drive(r, &probes(name))).collect()
+    };
+    let before_crash = probe_all(&router);
+    let shutdown = router.handle_line(r#"{"id":13,"op":"shutdown"}"#);
+    assert!(shutdown.contains("\"draining\":true"), "{shutdown}");
+    let line = r#"{"id":14,"op":"open_doc","session":"s","name":"F","headers":[],"rows":[]}"#;
+    assert_eq!(kind(&router.handle_line(line)), "shutting_down");
+
+    let expected = |lines: &[&str]| lines.iter().map(|l| l.to_string()).collect::<Vec<_>>();
+    assert_eq!(
+        router.journal_history("s"),
+        Some(expected(&[effectful[0], effectful[3], effectful[4]]))
+    );
+    assert_eq!(router.journal_history("t"), Some(expected(&[effectful[1]])));
+    assert_eq!(router.journal_history("u"), Some(expected(&[effectful[2]])));
+    drop(router); // crash
+
+    let recovered = Router::recover(config()).expect("recovery");
+    assert_eq!(recovered.journal_history("s").map(|h| h.len()), Some(3));
+    assert_eq!(probe_all(&recovered), before_crash);
     recovered.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

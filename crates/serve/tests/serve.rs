@@ -2,12 +2,15 @@
 //! determinism under concurrency, graceful drain, deadline handling
 //! with fault-injected services, and the TCP transport.
 
-use copycat_serve::protocol::Op;
-use copycat_serve::server::{Server, ServerConfig};
+use copycat_serve::protocol::{Op, Request};
+use copycat_serve::server::{Outcome, Server, ServerConfig};
 use copycat_serve::smoke;
 use copycat_util::check::check;
 use copycat_util::json::Json;
+use copycat_util::zjson::ZDoc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- smoke
 
@@ -390,6 +393,48 @@ fn shutdown_drains_in_flight_requests_without_dropping_responses() {
     server.shutdown();
 }
 
+/// At most `workers` requests run and at most `queue_depth` more wait;
+/// a request past both is refused `overloaded` at once, and every
+/// admitted request still gets its answer.
+#[test]
+fn requests_past_the_run_and_wait_limits_are_overloaded() {
+    let server = Arc::new(Server::new(ServerConfig { workers: 1, queue_depth: 1, shards: 1 }));
+    let created = server.handle("{\"id\":1,\"op\":\"create_session\",\"session\":\"s\"}");
+    assert_eq!(created["ok"].as_bool(), Some(true), "{created}");
+    let session = server.registry().get("s").expect("session s");
+    let held = session.state.lock();
+    let renders: Vec<_> = (0..2)
+        .map(|i| {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                server.handle(&format!("{{\"id\":{},\"op\":\"render\",\"session\":\"s\"}}", 10 + i))
+            })
+        })
+        .collect();
+    // Both renders are admitted: one runs (blocked on the held session
+    // lock), the other waits for the only run slot.
+    let renders_admitted = || server.metrics().class(Op::Render).total.load(Ordering::Acquire);
+    while renders_admitted() < 2 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let start = Instant::now();
+    loop {
+        let ping = server.handle("{\"id\":2,\"op\":\"ping\",\"deadline_ms\":100}");
+        if ping["error"]["kind"].as_str() == Some("overloaded") {
+            break;
+        }
+        assert!(start.elapsed() < Duration::from_secs(10), "never overloaded: {ping}");
+    }
+    drop(held);
+    for r in renders {
+        let resp = r.join().expect("render thread");
+        assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+    }
+    assert!(server.metrics().class(Op::Ping).overloaded.load(Ordering::Acquire) >= 1);
+    assert_eq!(server.metrics().grand_responses(), server.metrics().grand_total());
+}
+
 // ------------------------------------------- deadlines + fault injection
 
 fn setup_session_with_flaky(server: &Server, latency_ms: u64) {
@@ -512,15 +557,48 @@ fn typed_errors_cover_the_protocol_taxonomy() {
     server.shutdown();
 }
 
-/// When every service that could complete a column is breaker-open and
-/// no replacement exists, `column_suggestions` answers the typed
-/// `unavailable` error instead of an empty (indistinguishable) list.
+/// Paste names its document by a `u32` id; a larger number must not
+/// wrap around to another document.
 #[test]
-fn tripped_services_without_replacement_answer_unavailable() {
+fn document_ids_beyond_u32_are_rejected() {
     let server = Server::new(ServerConfig::default());
-    setup_session_with_flaky(&server, 0); // healthy flaky wrapper on zip
-    // Re-wrap every street/city-bound service hard-down behind a breaker
-    // (no replacement registered).
+    for line in [
+        "{\"id\":1,\"op\":\"create_session\",\"session\":\"s\"}",
+        "{\"id\":2,\"op\":\"open_doc\",\"session\":\"s\",\"name\":\"D\",\
+         \"headers\":[\"A\"],\"rows\":[[\"x\"]]}",
+    ] {
+        let resp = server.handle(line);
+        assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+    }
+    let wrapped = server.handle(
+        "{\"id\":3,\"op\":\"paste\",\"session\":\"s\",\"doc\":4294967296,\"values\":[\"x\"]}",
+    );
+    assert_eq!(wrapped["error"]["kind"].as_str(), Some("bad_request"), "{wrapped}");
+    server.shutdown();
+}
+
+/// One request cannot make the server generate an arbitrarily large
+/// world, through either op that builds one.
+#[test]
+fn worlds_above_the_venue_cap_are_rejected() {
+    let server = Server::new(ServerConfig::default());
+    let created = server.handle(
+        "{\"id\":1,\"op\":\"create_session\",\"session\":\"big\",\"world\":{\"venues\":65537}}",
+    );
+    assert_eq!(created["error"]["kind"].as_str(), Some("bad_request"), "{created}");
+    let created = server.handle("{\"id\":2,\"op\":\"create_session\",\"session\":\"s\"}");
+    assert_eq!(created["ok"].as_bool(), Some(true), "{created}");
+    let world = server.handle(
+        "{\"id\":3,\"op\":\"register_world\",\"session\":\"s\",\"venues\":65537}",
+    );
+    assert_eq!(world["error"]["kind"].as_str(), Some("bad_request"), "{world}");
+    server.shutdown();
+}
+
+/// Session `s` with every street/city-bound service re-wrapped hard-down
+/// behind a breaker (no replacement registered).
+fn trip_every_completion_source(server: &Server) {
+    setup_session_with_flaky(server, 0); // healthy flaky wrapper on zip
     for (i, svc) in ["zip_resolver", "geocoder", "address_resolver"].iter().enumerate() {
         let resp = server.handle(&format!(
             "{{\"id\":{},\"op\":\"register_flaky\",\"session\":\"s\",\"service\":\"{svc}\",\
@@ -530,6 +608,15 @@ fn tripped_services_without_replacement_answer_unavailable() {
         ));
         assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
     }
+}
+
+/// When every service that could complete a column is breaker-open and
+/// no replacement exists, `column_suggestions` answers the typed
+/// `unavailable` error instead of an empty (indistinguishable) list.
+#[test]
+fn tripped_services_without_replacement_answer_unavailable() {
+    let server = Server::new(ServerConfig::default());
+    trip_every_completion_source(&server);
     // First round trips the breakers (answers may be partial/degraded);
     // once everything is open, the next round is typed unavailable.
     let mut saw_unavailable = false;
@@ -546,6 +633,78 @@ fn tripped_services_without_replacement_answer_unavailable() {
     }
     assert!(saw_unavailable, "breakers never produced a typed unavailable error");
     server.shutdown();
+}
+
+/// Handle one line through the typed entry point.
+fn answer(server: &Server, line: &str) -> (String, Outcome) {
+    let mut doc = ZDoc::new();
+    let req = Request::parse(&mut doc, line).expect("request parses");
+    let (resp, outcome) = server.handle_request(&req);
+    let kind = Json::parse(&resp).expect("json")["error"]["kind"].as_str().unwrap_or("ok").to_string();
+    (kind, outcome)
+}
+
+/// The outcome the durable router journals on: ok and every failure
+/// that reached the engine ran (`bad_request`, `unavailable`, a timeout
+/// during execution); refusals (`session_exists`, `no_such_session`, a
+/// timeout while queued or awaiting the session, `shutting_down`) did
+/// not. `overloaded` is pinned end to end in the durability tests and
+/// `internal` by the server's unit tests.
+#[test]
+fn outcomes_separate_what_ran_from_what_was_refused() {
+    let server = Server::new(ServerConfig::default());
+    // 500 ms of virtual latency per zip_resolver call.
+    setup_session_with_flaky(&server, 500);
+    let ran = [
+        (r#"{"id":20,"op":"render","session":"s"}"#, "ok", Outcome::Ok),
+        (r#"{"id":21,"op":"name_column","session":"s","col":0}"#, "bad_request", Outcome::Failed),
+        (
+            r#"{"id":22,"op":"column_suggestions","session":"s","deadline_ms":100}"#,
+            "timeout",
+            Outcome::Failed,
+        ),
+        (r#"{"id":23,"op":"create_session","session":"s"}"#, "session_exists", Outcome::Refused),
+        (r#"{"id":24,"op":"render","session":"ghost"}"#, "no_such_session", Outcome::Refused),
+        (r#"{"id":25,"op":"close_session","session":"ghost"}"#, "no_such_session", Outcome::Refused),
+        (r#"{"id":26,"op":"render","session":"s","deadline_ms":0}"#, "timeout", Outcome::Refused),
+    ];
+    for (line, kind, outcome) in ran {
+        assert_eq!(answer(&server, line), (kind.to_string(), outcome), "{line}");
+    }
+
+    // Awaiting the session: the deadline starts before the admission
+    // count moves, and the session lock is held past it.
+    let session = server.registry().get("s").expect("session s");
+    let held = session.state.lock();
+    let admitted = || server.metrics().class(Op::AcceptRows).total.load(Ordering::Acquire);
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            answer(&server, r#"{"id":27,"op":"accept_rows","session":"s","deadline_ms":1}"#)
+        });
+        while admitted() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        drop(held);
+        assert_eq!(waiter.join().expect("waiter"), ("timeout".to_string(), Outcome::Refused));
+    });
+
+    // Unavailable: every completion source hard-down behind a breaker.
+    let tripped = Server::new(ServerConfig::default());
+    trip_every_completion_source(&tripped);
+    let unavailable = (0..4)
+        .map(|i| {
+            let line = format!("{{\"id\":{},\"op\":\"column_suggestions\",\"session\":\"s\"}}", 30 + i);
+            answer(&tripped, &line)
+        })
+        .find(|(kind, _)| kind != "ok");
+    assert_eq!(unavailable, Some(("unavailable".to_string(), Outcome::Failed)));
+
+    assert_eq!(answer(&server, r#"{"id":50,"op":"shutdown"}"#), ("ok".to_string(), Outcome::Ok));
+    assert_eq!(
+        answer(&server, r#"{"id":51,"op":"render","session":"s"}"#),
+        ("shutting_down".to_string(), Outcome::Refused)
+    );
 }
 
 // ----------------------------------------------------------------- tcp
