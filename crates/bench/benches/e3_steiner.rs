@@ -1,12 +1,10 @@
 //! E3 timing bench: exact Dreyfus–Wagner vs SPCSH across graph sizes and
 //! terminal counts (regenerates the scale-up table's timing columns),
-//! plus the PR-level optimizations: scratch reuse across solves and
-//! parallel vs sequential top-k branching.
+//! plus scratch reuse across solves and top-k branching on a
+//! terminal-heavy subproblem.
 
 use copycat_bench::gen::{random_graph, GraphSpec};
-use copycat_graph::{
-    spcsh, steiner_exact, steiner_exact_in, top_k_steiner, top_k_steiner_opts, SteinerScratch,
-};
+use copycat_graph::{spcsh, steiner_exact, steiner_exact_in, top_k_steiner, SteinerScratch};
 use copycat_util::bench::Harness;
 
 fn bench_size_sweep(c: &mut Harness) {
@@ -20,7 +18,7 @@ fn bench_size_sweep(c: &mut Harness) {
             b.iter(|| steiner_exact(&g, &t).expect("connected").cost)
         });
         group.bench_function(format!("spcsh/{nodes}"), |b| {
-            b.iter(|| spcsh(&g, &t, 0.8).expect("connected").cost)
+            b.iter(|| spcsh(&g, &t, 0.8, &[]).expect("connected").cost)
         });
     }
     group.finish();
@@ -35,7 +33,7 @@ fn bench_terminal_sweep(c: &mut Harness) {
             b.iter(|| steiner_exact(&g, &t).expect("connected").cost)
         });
         group.bench_function(format!("spcsh/{k}"), |b| {
-            b.iter(|| spcsh(&g, &t, 0.8).expect("connected").cost)
+            b.iter(|| spcsh(&g, &t, 0.8, &[]).expect("connected").cost)
         });
     }
     group.finish();
@@ -62,17 +60,11 @@ fn bench_top_k(c: &mut Harness) {
     c.bench_function("e3/top5_exact_n30", |b| {
         b.iter(|| top_k_steiner(&g, &t, 5).len())
     });
-    // Parallel Lawler branching vs sequential on a subproblem large
-    // enough to pay for worker threads.
+    // Lawler branching with 8 terminals: each child solve is a 2^8-mask DP.
     let (g2, t2) = random_graph(&GraphSpec { nodes: 60, extra_edges: 120, seed: 9 }, 8);
     let mut group = c.benchmark_group("e3/top5_n60_k8");
     group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| top_k_steiner_opts(&g2, &t2, 5, false).len())
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| top_k_steiner_opts(&g2, &t2, 5, true).len())
-    });
+    group.bench_function("sequential", |b| b.iter(|| top_k_steiner(&g2, &t2, 5).len()));
     group.finish();
 }
 

@@ -173,7 +173,7 @@ pub fn run_a3(quantiles: &[f64], seeds: u64, nodes: usize) -> Vec<A3Row> {
                 random_graph(&GraphSpec { nodes, extra_edges: nodes * 3, seed }, 5);
             let exact = steiner_exact(&g, &t).expect("connected").cost;
             let start = Instant::now();
-            let approx = spcsh(&g, &t, q).expect("connected");
+            let approx = spcsh(&g, &t, q, &[]).expect("connected");
             total_time += start.elapsed();
             ratio_sum += approx.cost / exact;
             n += 1;

@@ -78,7 +78,7 @@ fn measure(nodes: usize, terminals: usize, run_exact: bool) -> E3Row {
         (None, None)
     };
     let start = Instant::now();
-    let approx = spcsh(&g, &t, 0.8).expect("connected");
+    let approx = spcsh(&g, &t, 0.8, &[]).expect("connected");
     let spcsh_time = start.elapsed();
     E3Row {
         nodes,

@@ -182,43 +182,11 @@ pub fn column_suggestions(
             continue;
         };
         let degraded = degraded_note(&report);
-        let new_fields: Vec<Field> = result.schema().fields()[current_schema.arity()..].to_vec();
-        if new_fields.is_empty() {
+        let Some((new_fields, values, provenance)) =
+            align_to_rows(&result, current_schema.arity(), current_rows, &degraded)
+        else {
             continue;
-        }
-        // Align the new columns' values with the current rows by matching
-        // the shared prefix (the left side of joins/dependent joins keeps
-        // its column order).
-        let mut values = Vec::with_capacity(current_rows.len());
-        let mut provenance = Vec::with_capacity(current_rows.len());
-        let mut any = false;
-        for row in current_rows {
-            let hit = result.tuples().iter().find(|t| {
-                row.iter()
-                    .take(current_schema.arity())
-                    .enumerate()
-                    .all(|(i, v)| t.values.get(i).map(Value::as_text).as_deref() == Some(v))
-            });
-            match hit {
-                Some(t) => {
-                    any = true;
-                    values.push(
-                        t.values[current_schema.arity()..]
-                            .iter()
-                            .map(Value::as_text)
-                            .collect(),
-                    );
-                    provenance.push(Some(annotate_degraded(t.provenance.clone(), &degraded)));
-                }
-                None => {
-                    values.push(vec![String::new(); new_fields.len()]);
-                    provenance.push(None);
-                }
-            }
-        }
-        if !any {
-            continue; // a completion with no values is not worth showing
-        }
+        };
         out.push(ColumnSuggestion {
             new_fields,
             values,
@@ -232,6 +200,52 @@ pub fn column_suggestions(
     }
     sort_suggestions(&mut out);
     out
+}
+
+/// A completion's new columns plus, per workspace row, their values and
+/// the provenance of the tuple that supplied them.
+type AlignedColumns = (Vec<Field>, Vec<Vec<String>>, Vec<Option<Provenance>>);
+
+/// Align a completion query's result with the workspace rows. The left
+/// side of joins and dependent joins keeps its column order, so a result
+/// tuple answers a row when its first `arity` values equal the row's.
+/// Unanswered rows get empty strings and no provenance; answered rows'
+/// provenance carries the `degraded:` label when there is one. `None`
+/// when the result adds no column or answers no row: a completion with
+/// no values is not worth showing.
+fn align_to_rows(
+    result: &Relation,
+    arity: usize,
+    rows: &[Vec<String>],
+    degraded: &Option<String>,
+) -> Option<AlignedColumns> {
+    let new_fields: Vec<Field> = result.schema().fields()[arity..].to_vec();
+    if new_fields.is_empty() {
+        return None;
+    }
+    let mut values = Vec::with_capacity(rows.len());
+    let mut provenance = Vec::with_capacity(rows.len());
+    let mut any = false;
+    for row in rows {
+        let hit = result.tuples().iter().find(|t| {
+            row.iter()
+                .take(arity)
+                .enumerate()
+                .all(|(i, v)| t.values.get(i).map(Value::as_text).as_deref() == Some(v))
+        });
+        match hit {
+            Some(t) => {
+                any = true;
+                values.push(t.values[arity..].iter().map(Value::as_text).collect());
+                provenance.push(Some(annotate_degraded(t.provenance.clone(), degraded)));
+            }
+            None => {
+                values.push(vec![String::new(); new_fields.len()]);
+                provenance.push(None);
+            }
+        }
+    }
+    any.then_some((new_fields, values, provenance))
 }
 
 /// Ranking for column completions: healthy before degraded, then by
@@ -480,14 +494,9 @@ fn expand_plan(
 }
 
 /// The Steiner search behind query discovery: exact top-k on small
-/// graphs with few terminals, SPCSH on larger ones.
-pub fn search_trees(graph: &SourceGraph, terminals: &[NodeId], k: usize) -> Vec<SteinerTree> {
-    search_trees_banned(graph, terminals, k, &[])
-}
-
-/// [`search_trees`] with a set of banned edges no tree may use — the
-/// failover search: a tripped service's edges are banned so the
-/// explanations route through replacement sources instead.
+/// graphs with few terminals, SPCSH on larger ones. No tree uses a
+/// `banned` edge — the failover search bans a tripped service's edges so
+/// the explanations route through replacement sources instead.
 pub fn search_trees_banned(
     graph: &SourceGraph,
     terminals: &[NodeId],
@@ -500,10 +509,7 @@ pub fn search_trees_banned(
     {
         copycat_graph::top_k_steiner_banned(graph, terminals, k, banned)
     } else {
-        copycat_graph::spcsh(graph, terminals, 0.8)
-            .into_iter()
-            .filter(|t| !t.edges.iter().any(|e| banned.contains(e)))
-            .collect()
+        copycat_graph::spcsh(graph, terminals, 0.8, banned).into_iter().collect()
     }
 }
 
@@ -542,35 +548,14 @@ fn trees_to_queries(
     out
 }
 
-/// Discover ranked queries whose sources cover `terminals` (§4.2 mode 2).
-/// Uses the exact top-k search on small graphs, SPCSH on larger ones.
+/// Discover ranked queries whose sources cover `terminals` (§4.2 mode 2)
+/// through [`search_trees_banned`], avoiding `banned` edges (tripped
+/// services' edges during failover). The search is memoized in `cache`:
+/// repeated pastes against an unchanged graph reuse the cached trees; a
+/// graph change (feedback, new edges) invalidates via the version stamp.
+/// Query execution always runs fresh — the catalog's contents are not
+/// part of the cache key.
 pub fn discover_queries(
-    graph: &SourceGraph,
-    catalog: &Catalog,
-    terminals: &[NodeId],
-    k: usize,
-) -> Vec<ScoredQuery> {
-    trees_to_queries(graph, catalog, search_trees(graph, terminals, k))
-}
-
-/// [`discover_queries`] with the Steiner search memoized in `cache`:
-/// repeated pastes against an unchanged graph reuse the cached trees;
-/// a graph change (feedback, new edges) invalidates via the version
-/// stamp. Query execution always runs fresh — the catalog's contents
-/// are not part of the cache key.
-pub fn discover_queries_cached(
-    graph: &SourceGraph,
-    catalog: &Catalog,
-    terminals: &[NodeId],
-    k: usize,
-    cache: &crate::cache::QueryCache,
-) -> Vec<ScoredQuery> {
-    discover_queries_cached_banned(graph, catalog, terminals, k, &[], cache)
-}
-
-/// [`discover_queries_cached`] with banned edges (tripped services'
-/// edges during failover). The ban set is part of the cache key.
-pub fn discover_queries_cached_banned(
     graph: &SourceGraph,
     catalog: &Catalog,
     terminals: &[NodeId],
@@ -578,7 +563,7 @@ pub fn discover_queries_cached_banned(
     banned: &[EdgeId],
     cache: &crate::cache::QueryCache,
 ) -> Vec<ScoredQuery> {
-    let trees = cache.trees_for_banned(graph, terminals, k, banned, || {
+    let trees = cache.trees_for(graph, terminals, k, banned, || {
         search_trees_banned(graph, terminals, k, banned)
     });
     trees_to_queries(graph, catalog, trees)
@@ -668,43 +653,12 @@ pub fn failover_suggestions(
                 let Ok((result, _report)) = execute_reported(&plan, catalog, &label) else {
                     continue;
                 };
-                let new_fields: Vec<Field> =
-                    result.schema().fields()[current_schema.arity()..].to_vec();
-                if new_fields.is_empty() {
-                    continue;
-                }
                 let degraded = Some(note);
-                let mut values = Vec::with_capacity(current_rows.len());
-                let mut provenance = Vec::with_capacity(current_rows.len());
-                let mut any = false;
-                for row in current_rows {
-                    let hit = result.tuples().iter().find(|tu| {
-                        row.iter()
-                            .take(current_schema.arity())
-                            .enumerate()
-                            .all(|(i, v)| tu.values.get(i).map(Value::as_text).as_deref() == Some(v))
-                    });
-                    match hit {
-                        Some(tu) => {
-                            any = true;
-                            values.push(
-                                tu.values[current_schema.arity()..]
-                                    .iter()
-                                    .map(Value::as_text)
-                                    .collect(),
-                            );
-                            provenance
-                                .push(Some(annotate_degraded(tu.provenance.clone(), &degraded)));
-                        }
-                        None => {
-                            values.push(vec![String::new(); new_fields.len()]);
-                            provenance.push(None);
-                        }
-                    }
-                }
-                if !any {
+                let Some((new_fields, values, provenance)) =
+                    align_to_rows(&result, current_schema.arity(), current_rows, &degraded)
+                else {
                     continue;
-                }
+                };
                 // The suggestion's graph edge: the tree edge touching the
                 // replacement service.
                 let Some(edge) = tree.edges.iter().copied().find(|&e| {
@@ -864,7 +818,8 @@ mod tests {
         let (graph, catalog) = setup();
         let shelters = graph.node_by_name("Shelters").unwrap();
         let contacts = graph.node_by_name("Contacts").unwrap();
-        let queries = discover_queries(&graph, &catalog, &[shelters, contacts], 3);
+        let cache = crate::cache::QueryCache::default();
+        let queries = discover_queries(&graph, &catalog, &[shelters, contacts], 3, &[], &cache);
         assert!(!queries.is_empty());
         for w in queries.windows(2) {
             assert!(w[0].cost <= w[1].cost + 1e-9);
@@ -888,12 +843,15 @@ mod tests {
         );
         let terminals = [shelters, contacts];
         let cache = QueryCache::default();
-        let warm = discover_queries_cached(&graph, &catalog, &terminals, 3, &cache);
+        let cold_search = |graph: &SourceGraph| {
+            discover_queries(graph, &catalog, &terminals, 3, &[], &QueryCache::default())
+        };
+        let warm = discover_queries(&graph, &catalog, &terminals, 3, &[], &cache);
         assert!(warm.len() >= 2, "need alternatives to re-rank");
         // Second call: trees come from the cache and the answers match a
         // cold search exactly.
-        let cached = discover_queries_cached(&graph, &catalog, &terminals, 3, &cache);
-        let cold = discover_queries(&graph, &catalog, &terminals, 3);
+        let cached = discover_queries(&graph, &catalog, &terminals, 3, &[], &cache);
+        let cold = cold_search(&graph);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cached.len(), cold.len());
         for (a, b) in cached.iter().zip(cold.iter()) {
@@ -908,8 +866,8 @@ mod tests {
             &warm[0].tree.edges,
         );
         assert!(tau > 0.0, "feedback must change the graph");
-        let after = discover_queries_cached(&graph, &catalog, &terminals, 3, &cache);
-        let after_cold = discover_queries(&graph, &catalog, &terminals, 3);
+        let after = discover_queries(&graph, &catalog, &terminals, 3, &[], &cache);
+        let after_cold = cold_search(&graph);
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(after.len(), after_cold.len());
         for (a, b) in after.iter().zip(after_cold.iter()) {
@@ -925,6 +883,35 @@ mod tests {
         if let Some(rej) = pos(&after, &warm[0].tree.edges) {
             assert!(pref < rej, "feedback must reorder through the cache");
         }
+    }
+
+    #[test]
+    fn a_ban_reroutes_spcsh_search_instead_of_emptying_it() {
+        // 70 nodes puts the search on SPCSH. The cheapest a–d tree is
+        // a–b–d over `e` = a–b; the detour a–c–d costs more, and its
+        // edges are costly enough that pruning drops them.
+        let mut g = SourceGraph::new();
+        let ids: Vec<NodeId> = (0..70)
+            .map(|i| g.add_relation(format!("n{i}"), Schema::of(&["X"])))
+            .collect();
+        let j = || EdgeKind::Join { pairs: vec![("X".into(), "X".into())] };
+        let (a, b, c, d) = (ids[0], ids[1], ids[2], ids[3]);
+        let e = g.add_edge_with_cost(a, b, j(), 1.0);
+        g.add_edge_with_cost(b, d, j(), 1.0);
+        g.add_edge_with_cost(a, c, j(), 1.5);
+        g.add_edge_with_cost(c, d, j(), 1.5);
+        for w in ids[3..].windows(2) {
+            g.add_edge_with_cost(w[0], w[1], j(), 1.0);
+        }
+        let open = search_trees_banned(&g, &[a, d], 3, &[]);
+        assert!(open[0].edges.contains(&e), "the cheapest tree crosses e");
+        let trees = search_trees_banned(&g, &[a, d], 3, &[e]);
+        assert!(!trees.is_empty(), "the detour must survive the ban");
+        for t in &trees {
+            assert!(!t.edges.contains(&e), "{t:?}");
+            assert!(t.nodes.contains(&a) && t.nodes.contains(&d));
+        }
+        assert_eq!(trees[0].cost, 3.0);
     }
 
     #[test]

@@ -67,25 +67,14 @@ impl QueryCache {
         Self { inner: Mutex::new(Inner::default()), capacity: capacity.max(1) }
     }
 
-    /// The trees for `(terminals, k)` at the graph's current version:
-    /// served from cache when a fresh entry exists, otherwise computed
-    /// via `compute` (outside the cache lock) and stored. A stale entry
-    /// — same key, older version — is replaced and counted as an
-    /// invalidation.
-    pub fn trees_for(
-        &self,
-        g: &SourceGraph,
-        terminals: &[NodeId],
-        k: usize,
-        compute: impl FnOnce() -> Vec<SteinerTree>,
-    ) -> Vec<SteinerTree> {
-        self.trees_for_banned(g, terminals, k, &[], compute)
-    }
-
-    /// [`QueryCache::trees_for`] with a banned-edge set in the key —
-    /// the failover search path (tripped services' edges banned) caches
+    /// The trees for `(terminals, k, banned)` at the graph's current
+    /// version: served from cache when a fresh entry exists, otherwise
+    /// computed via `compute` (outside the cache lock) and stored. A
+    /// stale entry — same key, older version — is replaced and counted
+    /// as an invalidation. The ban set is part of the key, so the
+    /// failover search (tripped services' edges banned) caches
     /// separately from the healthy one.
-    pub fn trees_for_banned(
+    pub fn trees_for(
         &self,
         g: &SourceGraph,
         terminals: &[NodeId],
@@ -168,8 +157,8 @@ mod tests {
         let (g, ids) = diamond();
         let cache = QueryCache::default();
         let terms = [ids[0], ids[3]];
-        let a = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
-        let b = cache.trees_for(&g, &terms, 2, || panic!("must be served from cache"));
+        let a = cache.trees_for(&g, &terms, 2, &[], || top_k_steiner(&g, &terms, 2));
+        let b = cache.trees_for(&g, &terms, 2, &[], || panic!("must be served from cache"));
         assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 1, 0));
@@ -180,7 +169,7 @@ mod tests {
         let (mut g, ids) = diamond();
         let cache = QueryCache::default();
         let terms = [ids[0], ids[3]];
-        let warm = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
+        let warm = cache.trees_for(&g, &terms, 2, &[], || top_k_steiner(&g, &terms, 2));
         assert_eq!(warm[0].edges, vec![copycat_graph::EdgeId(0), copycat_graph::EdgeId(1)]);
         // Feedback flips the ranking: prefer the a–c–d path.
         let preferred = warm[1].edges.clone();
@@ -189,7 +178,7 @@ mod tests {
         assert!(tau > 0.0, "feedback must change costs");
         // The cache must notice the version bump and agree with a cold
         // search, not replay the stale ranking.
-        let cached = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
+        let cached = cache.trees_for(&g, &terms, 2, &[], || top_k_steiner(&g, &terms, 2));
         let cold = top_k_steiner(&g, &terms, 2);
         assert_eq!(cached, cold);
         assert_eq!(cached[0].edges, preferred, "new ranking visible through the cache");
@@ -202,15 +191,15 @@ mod tests {
         let cache = QueryCache::default();
         let t1 = [ids[0], ids[3]];
         let t2 = [ids[0], ids[1]];
-        let r1 = cache.trees_for(&g, &t1, 1, || top_k_steiner(&g, &t1, 1));
-        let r2 = cache.trees_for(&g, &t2, 1, || top_k_steiner(&g, &t2, 1));
+        let r1 = cache.trees_for(&g, &t1, 1, &[], || top_k_steiner(&g, &t1, 1));
+        let r2 = cache.trees_for(&g, &t2, 1, &[], || top_k_steiner(&g, &t2, 1));
         assert_ne!(r1, r2);
         // Same set, different k: separate entry.
-        let r3 = cache.trees_for(&g, &t1, 2, || top_k_steiner(&g, &t1, 2));
+        let r3 = cache.trees_for(&g, &t1, 2, &[], || top_k_steiner(&g, &t1, 2));
         assert_eq!(r3.len(), 2);
         // Terminal order does not matter.
         let swapped = [ids[3], ids[0]];
-        cache.trees_for(&g, &swapped, 1, || panic!("order-insensitive key"));
+        cache.trees_for(&g, &swapped, 1, &[], || panic!("order-insensitive key"));
     }
 
     #[test]
@@ -219,10 +208,10 @@ mod tests {
         let cache = QueryCache::new(1);
         let t1 = [ids[0], ids[3]];
         let t2 = [ids[0], ids[1]];
-        cache.trees_for(&g, &t1, 1, || top_k_steiner(&g, &t1, 1));
-        cache.trees_for(&g, &t2, 1, || top_k_steiner(&g, &t2, 1));
+        cache.trees_for(&g, &t1, 1, &[], || top_k_steiner(&g, &t1, 1));
+        cache.trees_for(&g, &t2, 1, &[], || top_k_steiner(&g, &t2, 1));
         // t1 was evicted: this is a miss, not a hit.
-        cache.trees_for(&g, &t1, 1, || top_k_steiner(&g, &t1, 1));
+        cache.trees_for(&g, &t1, 1, &[], || top_k_steiner(&g, &t1, 1));
         let stats = cache.stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 3);
@@ -233,9 +222,9 @@ mod tests {
         let (g, ids) = diamond();
         let cache = QueryCache::default();
         let terms = [ids[0], ids[3]];
-        cache.trees_for(&g, &terms, 1, || top_k_steiner(&g, &terms, 1));
+        cache.trees_for(&g, &terms, 1, &[], || top_k_steiner(&g, &terms, 1));
         cache.clear();
-        cache.trees_for(&g, &terms, 1, || top_k_steiner(&g, &terms, 1));
+        cache.trees_for(&g, &terms, 1, &[], || top_k_steiner(&g, &terms, 1));
         assert_eq!(cache.stats().misses, 2);
     }
 }

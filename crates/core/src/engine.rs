@@ -798,7 +798,7 @@ impl CopyCat {
         if terminals.is_empty() {
             return Vec::new();
         }
-        autocomplete::discover_queries_cached_banned(
+        autocomplete::discover_queries(
             &self.graph,
             &self.catalog,
             &terminals,
@@ -1525,7 +1525,14 @@ mod tests {
                 .iter()
                 .filter_map(|n| cc.graph.node_by_name(n))
                 .collect();
-            let cold = autocomplete::discover_queries(&cc.graph, &cc.catalog, &terminals, 3);
+            let cold = autocomplete::discover_queries(
+                &cc.graph,
+                &cc.catalog,
+                &terminals,
+                3,
+                &[],
+                &QueryCache::default(),
+            );
             assert_eq!(after.len(), cold.len());
             for (a, b) in after.iter().zip(cold.iter()) {
                 assert_eq!(a.tree, b.tree);

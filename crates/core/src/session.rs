@@ -333,6 +333,8 @@ mod tests {
             restored.catalog(),
             &terminals,
             3,
+            &[],
+            &crate::cache::QueryCache::default(),
         );
         assert_eq!(after.len(), cold.len());
         for (a, b) in after.iter().zip(cold.iter()) {

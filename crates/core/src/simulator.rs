@@ -77,12 +77,6 @@ impl ActionLog {
     pub fn click(&mut self) {
         self.clicks += 1;
     }
-
-    /// Record typing a value by hand.
-    pub fn type_value(&mut self, chars: usize) {
-        self.keystrokes += chars as u64;
-        self.clicks += 1; // focus the cell
-    }
 }
 
 /// How one column of the target table is obtained in the *manual*

@@ -16,7 +16,7 @@
 //! * [`steiner`] — §4.2's query search: exact top-k Steiner trees for
 //!   small graphs (Dreyfus–Wagner + Lawler branching standing in for the
 //!   paper's ILP) and the SPCSH shortest-path component heuristic with
-//!   edge pruning for larger ones;
+//!   edge pruning for larger ones, both honouring banned edges;
 //! * [`mira`] — the MIRA online learner that "adjusts weights only on
 //!   edges that differ between the graphs" to satisfy feedback-derived
 //!   ranking constraints.
@@ -34,6 +34,5 @@ pub use source_graph::{
 };
 pub use steiner::{
     spcsh, steiner_exact, steiner_exact_in, top_k_steiner, top_k_steiner_banned,
-    top_k_steiner_banned_opts, top_k_steiner_opts, SteinerScratch,
-    SteinerTree, MAX_EXACT_TERMINALS,
+    SteinerScratch, SteinerTree, MAX_EXACT_TERMINALS,
 };

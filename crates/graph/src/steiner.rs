@@ -19,16 +19,15 @@
 //! derivations are re-found at traceback instead of stored), a queued
 //! Bellman–Ford grow step over a banned-edge-filtered CSR adjacency
 //! built once per solve, and a greedy feasible upper bound that skips
-//! hopeless merge pairs and caps label propagation. Top-k branching
-//! solves its independent child subproblems on scoped worker threads
-//! when the host has cores to spare and the subproblem is large enough
-//! to pay for them.
+//! hopeless merge pairs and caps label propagation. That bound is the
+//! SPCSH attachment pass itself: both run [`SteinerScratch::attach`]
+//! over the same filtered adjacency, so SPCSH honours bans exactly as
+//! the exact solver does. Every search runs on the caller's thread.
 
 use crate::source_graph::{EdgeId, NodeId, SourceGraph};
 use copycat_util::hash::{FxHashSet, FxHasher};
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A Steiner tree: the chosen edges, the spanned nodes, and total cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,10 +72,9 @@ const UB_PRUNE_MIN_CELLS: usize = 1 << 12;
 const NONE32: u32 = u32::MAX;
 
 /// Reusable scratch buffers for exact Steiner searches. Allocate one per
-/// search session (or per worker thread) and pass it to
-/// [`steiner_exact_in`]; repeated solves then reuse the DP tables, the
-/// relaxation worklist, and the filtered adjacency instead of
-/// reallocating.
+/// search session and pass it to [`steiner_exact_in`]; repeated solves
+/// then reuse the DP tables, the relaxation worklist, and the filtered
+/// adjacency instead of reallocating.
 #[derive(Debug, Default)]
 pub struct SteinerScratch {
     /// `dp[mask * n + v]`: cheapest tree spanning terminal set `mask`
@@ -88,7 +86,7 @@ pub struct SteinerScratch {
     back_b: Vec<u32>,
     /// Min of `dp[mask]` over nodes, used to skip all-infinite merges.
     mask_min: Vec<f64>,
-    /// Binary min-heap storage (upper-bound pass only).
+    /// Binary min-heap storage (attachment pass only).
     heap: Vec<(f64, u32)>,
     /// Grow-step worklist: FIFO of nodes with pending relaxations plus
     /// membership flags, reused across masks.
@@ -102,11 +100,15 @@ pub struct SteinerScratch {
     adj_cost: Vec<f64>,
     /// Per-edge banned flags, rebuilt per solve (O(banned), not O(m)).
     banned_flag: Vec<bool>,
-    /// Upper-bound pass state: per-node distance, predecessor, and
-    /// tree-membership (0 = outside, 1 = in tree, 2 = unreached terminal).
-    ub_dist: Vec<f64>,
-    ub_pred: Vec<u32>,
-    ub_state: Vec<u8>,
+    /// Attachment-pass state: per-node distance, predecessor node and
+    /// edge, and tree-membership (0 = outside, 1 = in tree, 2 =
+    /// unreached terminal).
+    pass_dist: Vec<f64>,
+    pass_pred: Vec<u32>,
+    pass_edge: Vec<u32>,
+    pass_state: Vec<u8>,
+    /// Edges the last attachment pass added, in attachment order.
+    attached: Vec<EdgeId>,
 }
 
 impl SteinerScratch {
@@ -115,7 +117,8 @@ impl SteinerScratch {
         Self::default()
     }
 
-    /// Rebuild the CSR adjacency for `g` with `banned` edges removed.
+    /// Rebuild the CSR adjacency for `g` with `banned` edges removed
+    /// (duplicates in `banned` are harmless).
     /// After this, the inner relaxation loop touches only flat arrays.
     fn build_adjacency(&mut self, g: &SourceGraph, banned: &[EdgeId]) {
         let n = g.node_count();
@@ -128,6 +131,12 @@ impl SteinerScratch {
         self.adj_node.clear();
         self.adj_edge.clear();
         self.adj_cost.clear();
+        // Each edge appears in both endpoints' lists.
+        let slots = 2 * g.edge_count();
+        self.adj_off.reserve(n + 1);
+        self.adj_node.reserve(slots);
+        self.adj_edge.reserve(slots);
+        self.adj_cost.reserve(slots);
         self.adj_off.push(0);
         for v in 0..n {
             let vid = NodeId(v as u32);
@@ -182,55 +191,65 @@ impl SteinerScratch {
         edges
     }
 
-    /// Feasible-cost upper bound over the filtered CSR adjacency: greedy
-    /// nearest-terminal attachment (the SPCSH core without pruning), so
-    /// the bound respects banned edges. Returns `INF` when the terminals
-    /// are disconnected. Any DP label above this bound can never sit on
-    /// an optimal derivation (labels only grow along one), so the solver
-    /// uses it to cut merges, heap pushes, and whole masks.
-    fn upper_bound(&mut self, n: usize, terminals: &[NodeId]) -> f64 {
-        self.ub_state.clear();
-        self.ub_state.resize(n, 0);
+    /// Greedy nearest-terminal attachment over the filtered CSR
+    /// adjacency — the SPCSH core. Starting from the tree `{terminals[0]}`,
+    /// repeatedly run a multi-source Dijkstra from the tree and attach the
+    /// nearest unreached terminal along its shortest path. The heap pops
+    /// in (cost ascending, node id descending) order, so ties resolve
+    /// deterministically. The attached edges land in `self.attached`;
+    /// the return value is their total cost, or `INF` when the
+    /// terminals are disconnected.
+    ///
+    /// The exact solver uses the total as a feasible upper bound: any DP
+    /// label above it can never sit on an optimal derivation (labels only
+    /// grow along one), so it cuts merges, relaxations, and whole masks.
+    fn attach(&mut self, n: usize, terminals: &[NodeId]) -> f64 {
+        self.attached.clear();
+        self.pass_state.clear();
+        self.pass_state.resize(n, 0);
+        // Read only where this round set `pass_pred`, so never cleared.
+        self.pass_edge.resize(n, NONE32);
         let mut left = 0usize;
         for &t in &terminals[1..] {
-            if self.ub_state[t.0 as usize] == 0 {
-                self.ub_state[t.0 as usize] = 2;
+            if self.pass_state[t.0 as usize] == 0 {
+                self.pass_state[t.0 as usize] = 2;
                 left += 1;
             }
         }
-        if self.ub_state[terminals[0].0 as usize] == 2 {
+        if self.pass_state[terminals[0].0 as usize] == 2 {
             left -= 1;
         }
-        self.ub_state[terminals[0].0 as usize] = 1;
+        self.pass_state[terminals[0].0 as usize] = 1;
         let mut total = 0.0;
         while left > 0 {
-            self.ub_dist.clear();
-            self.ub_dist.resize(n, INF);
-            self.ub_pred.clear();
-            self.ub_pred.resize(n, NONE32);
+            self.pass_dist.clear();
+            self.pass_dist.resize(n, INF);
+            self.pass_pred.clear();
+            self.pass_pred.resize(n, NONE32);
             self.heap.clear();
             for v in 0..n {
-                if self.ub_state[v] == 1 {
-                    self.ub_dist[v] = 0.0;
+                if self.pass_state[v] == 1 {
+                    self.pass_dist[v] = 0.0;
                     heap_push(&mut self.heap, (0.0, v as u32));
                 }
             }
             let mut reached = NONE32;
             while let Some((c, v)) = heap_pop(&mut self.heap) {
                 let vu = v as usize;
-                if c > self.ub_dist[vu] {
+                if c > self.pass_dist[vu] {
                     continue;
                 }
-                if self.ub_state[vu] == 2 {
+                if self.pass_state[vu] == 2 {
                     reached = v;
                     break;
                 }
                 for i in self.adj_off[vu] as usize..self.adj_off[vu + 1] as usize {
                     let u = self.adj_node[i] as usize;
                     let nc = c + self.adj_cost[i];
-                    if nc < self.ub_dist[u] {
-                        self.ub_dist[u] = nc;
-                        self.ub_pred[u] = v;
+                    if nc < self.pass_dist[u] {
+                        self.pass_dist[u] = nc;
+                        self.pass_pred[u] = v;
+                        self.pass_edge[u] = self.adj_edge[i];
                         heap_push(&mut self.heap, (nc, u as u32));
                     }
                 }
@@ -238,22 +257,43 @@ impl SteinerScratch {
             if reached == NONE32 {
                 return INF;
             }
-            total += self.ub_dist[reached as usize];
+            total += self.pass_dist[reached as usize];
             let mut v = reached as usize;
-            while self.ub_state[v] != 1 {
-                if self.ub_state[v] == 2 {
+            while self.pass_state[v] != 1 {
+                if self.pass_state[v] == 2 {
                     left -= 1;
                 }
-                self.ub_state[v] = 1;
-                let p = self.ub_pred[v];
+                self.pass_state[v] = 1;
+                let p = self.pass_pred[v];
                 if p == NONE32 {
                     break;
                 }
+                self.attached.push(EdgeId(self.pass_edge[v]));
                 v = p as usize;
             }
         }
         total
     }
+
+    /// One SPCSH attempt: the attachment pass over `g` minus `off`.
+    fn spcsh_pass(
+        &mut self,
+        g: &SourceGraph,
+        terminals: &[NodeId],
+        off: &[EdgeId],
+    ) -> Option<SteinerTree> {
+        self.build_adjacency(g, off);
+        if self.attach(g.node_count(), terminals) == INF {
+            return None;
+        }
+        Some(SteinerTree::from_edges(g, std::mem::take(&mut self.attached), terminals))
+    }
+}
+
+/// Heap order of the attachment pass: cheaper first, and among equal
+/// costs the higher node id first.
+fn heap_before(a: (f64, u32), b: (f64, u32)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
 }
 
 /// Push onto the in-place binary min-heap.
@@ -262,7 +302,7 @@ fn heap_push(h: &mut Vec<(f64, u32)>, item: (f64, u32)) {
     let mut i = h.len() - 1;
     while i > 0 {
         let parent = (i - 1) / 2;
-        if h[parent].0 <= h[i].0 {
+        if !heap_before(h[i], h[parent]) {
             break;
         }
         h.swap(parent, i);
@@ -282,10 +322,10 @@ fn heap_pop(h: &mut Vec<(f64, u32)>) -> Option<(f64, u32)> {
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut smallest = i;
-        if l < h.len() && h[l].0 < h[smallest].0 {
+        if l < h.len() && heap_before(h[l], h[smallest]) {
             smallest = l;
         }
-        if r < h.len() && h[r].0 < h[smallest].0 {
+        if r < h.len() && heap_before(h[r], h[smallest]) {
             smallest = r;
         }
         if smallest == i {
@@ -344,7 +384,7 @@ fn steiner_exact_banned_in(
     // table is big enough for pruning to matter. The tiny relative slack
     // keeps the optimum itself alive under float-summation-order noise.
     let ub = if masks * n >= UB_PRUNE_MIN_CELLS {
-        s.upper_bound(n, terminals) * (1.0 + 1e-9)
+        s.attach(n, terminals) * (1.0 + 1e-9)
     } else {
         INF
     };
@@ -452,28 +492,9 @@ fn steiner_exact_banned_in(
     Some(SteinerTree::from_edges(g, edges, terminals))
 }
 
-/// Total order wrapper for finite f64 costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("finite costs")
-    }
-}
-
 /// A top-k branching candidate: a solved tree plus the edge set its
 /// subproblem banned. Ordered so the candidate `BinaryHeap` pops the
-/// cheapest tree first, with a deterministic tie-break — sequential and
-/// parallel branching therefore enumerate identical sequences.
+/// cheapest tree first, with a deterministic structural tie-break.
 #[derive(Debug)]
 struct Candidate {
     cost: f64,
@@ -517,103 +538,24 @@ fn edge_key(edges: &[EdgeId]) -> u64 {
     h.finish()
 }
 
-/// Whether a banned-child solve is big enough to pay for worker threads:
-/// the DP table is `2^k * n` cells, and thread startup costs ~tens of µs.
-/// On a single-core host there is nothing to win, so never spawn there.
-fn parallel_worthwhile(g: &SourceGraph, terminals: &[NodeId]) -> bool {
-    std::thread::available_parallelism().map_or(false, |p| p.get() > 1)
-        && terminals.len() <= MAX_EXACT_TERMINALS
-        && g.node_count().saturating_mul(1usize << terminals.len()) >= 1 << 14
-}
-
-/// Solve every child subproblem (one banned set each) on scoped worker
-/// threads, each with its own scratch. Results keep child order, so the
-/// caller's heap evolution is identical to the sequential path.
-fn solve_children_parallel(
-    g: &SourceGraph,
-    terminals: &[NodeId],
-    children: &[Vec<EdgeId>],
-) -> Vec<Option<SteinerTree>> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(children.len());
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<SteinerTree>> = vec![None; children.len()];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut scratch = SteinerScratch::new();
-                    let mut local = Vec::new();
-                    loop {
-                        // relaxed: a work-index dispenser needs only the
-                        // RMW's atomicity; the scope join publishes results.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= children.len() {
-                            break;
-                        }
-                        local.push((
-                            i,
-                            steiner_exact_banned_in(g, terminals, &children[i], &mut scratch),
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, t) in h.join().expect("steiner worker panicked") {
-                out[i] = t;
-            }
-        }
-    });
-    out
-}
-
 /// Exact top-k Steiner trees by nondecreasing cost, via edge-exclusion
-/// branching over [`steiner_exact`]. Distinct edge sets only. Child
-/// subproblems run on worker threads when large enough to pay for them.
+/// branching over [`steiner_exact`]. Distinct edge sets only.
 pub fn top_k_steiner(g: &SourceGraph, terminals: &[NodeId], k: usize) -> Vec<SteinerTree> {
-    top_k_steiner_opts(g, terminals, k, parallel_worthwhile(g, terminals))
-}
-
-/// [`top_k_steiner`] with explicit control over parallel branching
-/// (`parallel = false` forces the sequential path; both modes return
-/// identical results).
-pub fn top_k_steiner_opts(
-    g: &SourceGraph,
-    terminals: &[NodeId],
-    k: usize,
-    parallel: bool,
-) -> Vec<SteinerTree> {
-    top_k_steiner_banned_opts(g, terminals, k, &[], parallel)
+    top_k_steiner_banned(g, terminals, k, &[])
 }
 
 /// [`top_k_steiner`] with an initial set of banned edges that no
 /// returned tree may use. This is the failover entry point: when a
 /// service's circuit breaker trips, its incident edges are banned and
 /// the search re-plans over the remaining sources (§3.2's "propose
-/// replacement sources").
+/// replacement sources"). The initial ban seeds every branch, so the
+/// exclusion holds across the whole top-k enumeration, not just the
+/// first tree.
 pub fn top_k_steiner_banned(
     g: &SourceGraph,
     terminals: &[NodeId],
     k: usize,
-    banned: &[EdgeId],
-) -> Vec<SteinerTree> {
-    top_k_steiner_banned_opts(g, terminals, k, banned, parallel_worthwhile(g, terminals))
-}
-
-/// [`top_k_steiner_banned`] with explicit control over parallel
-/// branching. The initial ban seeds every branch, so the exclusion
-/// holds across the whole top-k enumeration, not just the first tree.
-pub fn top_k_steiner_banned_opts(
-    g: &SourceGraph,
-    terminals: &[NodeId],
-    k: usize,
     init_banned: &[EdgeId],
-    parallel: bool,
 ) -> Vec<SteinerTree> {
     let mut out: Vec<SteinerTree> = Vec::new();
     if k == 0 {
@@ -636,27 +578,11 @@ pub fn top_k_steiner_banned_opts(
             break;
         }
         // Branch: ban each edge of this tree in turn (any distinct tree
-        // must omit at least one of them). The child solves share no
-        // state, so they can run concurrently.
-        let tree_edges = &out.last().expect("just pushed").edges;
-        let children: Vec<Vec<EdgeId>> = tree_edges
-            .iter()
-            .map(|&e| {
-                let mut b = banned.clone();
-                b.push(e);
-                b
-            })
-            .collect();
-        let solved: Vec<Option<SteinerTree>> = if parallel && children.len() >= 2 {
-            solve_children_parallel(g, terminals, &children)
-        } else {
-            children
-                .iter()
-                .map(|b| steiner_exact_banned_in(g, terminals, b, &mut scratch))
-                .collect()
-        };
-        for (b, t) in children.into_iter().zip(solved) {
-            if let Some(t) = t {
+        // must omit at least one of them).
+        for &e in &out.last().expect("just pushed").edges {
+            let mut b = banned.clone();
+            b.push(e);
+            if let Some(t) = steiner_exact_banned_in(g, terminals, &b, &mut scratch) {
                 heap.push(Candidate { cost: t.cost, edges: t.edges, banned: b });
             }
         }
@@ -665,91 +591,40 @@ pub fn top_k_steiner_banned_opts(
 }
 
 /// SPCSH-style approximation: shortest-path component heuristic with
-/// optional edge pruning. `prune_quantile` ∈ (0, 1]: edges costlier than
-/// that cost quantile are ignored (1.0 = no pruning); if pruning
-/// disconnects the terminals the search transparently retries unpruned.
-pub fn spcsh(g: &SourceGraph, terminals: &[NodeId], prune_quantile: f64) -> Option<SteinerTree> {
+/// optional edge pruning, over `g` minus the `banned` edges.
+/// `prune_quantile` ∈ (0, 1]: edges costlier than that cost quantile are
+/// ignored (1.0 = no pruning); if pruning disconnects the terminals the
+/// search retries unpruned, still without the banned edges.
+pub fn spcsh(
+    g: &SourceGraph,
+    terminals: &[NodeId],
+    prune_quantile: f64,
+    banned: &[EdgeId],
+) -> Option<SteinerTree> {
     if terminals.is_empty() {
         return None;
     }
-    let banned = prune_set(g, prune_quantile);
-    match spcsh_banned(g, terminals, &banned) {
-        Some(t) => Some(t),
-        None if !banned.is_empty() => spcsh_banned(g, terminals, &FxHashSet::default()),
-        None => None,
+    let mut scratch = SteinerScratch::new();
+    let mut off = pruned_edges(g, prune_quantile);
+    if !off.is_empty() {
+        off.extend_from_slice(banned);
+        if let Some(t) = scratch.spcsh_pass(g, terminals, &off) {
+            return Some(t);
+        }
     }
+    scratch.spcsh_pass(g, terminals, banned)
 }
 
-fn prune_set(g: &SourceGraph, quantile: f64) -> FxHashSet<EdgeId> {
+/// Edges costlier than the `quantile` cost quantile (none at 1.0).
+fn pruned_edges(g: &SourceGraph, quantile: f64) -> Vec<EdgeId> {
     if quantile >= 1.0 || g.edge_count() == 0 {
-        return FxHashSet::default();
+        return Vec::new();
     }
     let mut costs: Vec<f64> = g.edge_ids().map(|e| g.cost(e)).collect();
     costs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let idx = ((costs.len() as f64 - 1.0) * quantile.clamp(0.0, 1.0)).round() as usize;
     let threshold = costs[idx];
     g.edge_ids().filter(|&e| g.cost(e) > threshold).collect()
-}
-
-fn spcsh_banned(
-    g: &SourceGraph,
-    terminals: &[NodeId],
-    banned: &FxHashSet<EdgeId>,
-) -> Option<SteinerTree> {
-    let n = g.node_count();
-    // Start with the tree containing terminal 0; repeatedly attach the
-    // nearest other terminal via its shortest path to the current tree.
-    let mut in_tree = vec![false; n];
-    in_tree[terminals[0].0 as usize] = true;
-    let mut tree_edges: Vec<EdgeId> = Vec::new();
-    let mut remaining: FxHashSet<NodeId> = terminals[1..].iter().copied().collect();
-
-    while !remaining.is_empty() {
-        // Multi-source Dijkstra from the current tree.
-        let mut dist = vec![INF; n];
-        let mut pred: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-        let mut heap: BinaryHeap<(std::cmp::Reverse<OrdF64>, usize)> = BinaryHeap::new();
-        for v in 0..n {
-            if in_tree[v] {
-                dist[v] = 0.0;
-                heap.push((std::cmp::Reverse(OrdF64(0.0)), v));
-            }
-        }
-        let mut reached: Option<NodeId> = None;
-        while let Some((std::cmp::Reverse(OrdF64(c)), v)) = heap.pop() {
-            if c > dist[v] {
-                continue;
-            }
-            let vid = NodeId(v as u32);
-            if remaining.contains(&vid) {
-                reached = Some(vid);
-                break;
-            }
-            for &e in g.incident(vid) {
-                if banned.contains(&e) {
-                    continue;
-                }
-                let u = g.other_end(e, vid).0 as usize;
-                let nc = c + g.cost(e);
-                if nc < dist[u] {
-                    dist[u] = nc;
-                    pred[u] = Some((vid, e));
-                    heap.push((std::cmp::Reverse(OrdF64(nc)), u));
-                }
-            }
-        }
-        let target = reached?;
-        // Trace the path back into the tree.
-        let mut cur = target;
-        while !in_tree[cur.0 as usize] {
-            in_tree[cur.0 as usize] = true;
-            let (prev, e) = pred[cur.0 as usize].expect("path exists");
-            tree_edges.push(e);
-            cur = prev;
-        }
-        remaining.remove(&target);
-    }
-    Some(SteinerTree::from_edges(g, tree_edges, terminals))
 }
 
 #[cfg(test)]
@@ -759,7 +634,7 @@ mod tests {
     use copycat_query::Schema;
     use copycat_util::check::{check, Gen};
     use copycat_util::rng::{Rng, SeedableRng, StdRng};
-    use copycat_util::{prop_ensure, prop_ensure_eq};
+    use copycat_util::prop_ensure;
 
     fn chain(costs: &[f64]) -> (SourceGraph, Vec<NodeId>) {
         let mut g = SourceGraph::new();
@@ -904,7 +779,7 @@ mod tests {
         let a = g.add_relation("a", Schema::of(&["X"]));
         let b = g.add_relation("b", Schema::of(&["X"]));
         assert!(steiner_exact(&g, &[a, b]).is_none());
-        assert!(spcsh(&g, &[a, b], 1.0).is_none());
+        assert!(spcsh(&g, &[a, b], 1.0, &[]).is_none());
     }
 
     #[test]
@@ -1000,24 +875,16 @@ mod tests {
     }
 
     #[test]
-    fn prop_top_k_sorted_distinct_and_mode_independent() {
-        check("top-k-parallel-vs-seq", 32, &[], |gen| {
+    fn prop_top_k_sorted_distinct_first_optimal() {
+        check("top-k-sorted-distinct", 32, &[], |gen| {
             let (g, terminals) = gen_graph(gen);
             let k = gen.usize_in(1..7);
-            let seq = top_k_steiner_opts(&g, &terminals, k, false);
-            let par = top_k_steiner_opts(&g, &terminals, k, true);
-            for trees in [&seq, &par] {
-                for pair in trees.windows(2) {
-                    prop_ensure!(pair[0].cost <= pair[1].cost + 1e-9, "costs decrease");
-                    prop_ensure!(pair[0].edges != pair[1].edges, "duplicate tree");
-                }
+            let trees = top_k_steiner(&g, &terminals, k);
+            for pair in trees.windows(2) {
+                prop_ensure!(pair[0].cost <= pair[1].cost + 1e-9, "costs decrease");
+                prop_ensure!(pair[0].edges != pair[1].edges, "duplicate tree");
             }
-            prop_ensure_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(par.iter()) {
-                prop_ensure_eq!(a.edges, b.edges);
-                prop_ensure!((a.cost - b.cost).abs() < 1e-9);
-            }
-            if let Some(first) = seq.first() {
+            if let Some(first) = trees.first() {
                 let opt = steiner_exact(&g, &terminals).expect("feasible");
                 prop_ensure!((first.cost - opt.cost).abs() < 1e-9, "first tree not optimal");
             }
@@ -1031,7 +898,7 @@ mod tests {
             let g = random_graph(100 + seed, 12, 14);
             let terminals = vec![NodeId(0), NodeId(5), NodeId(11)];
             let exact = steiner_exact(&g, &terminals).unwrap();
-            let approx = spcsh(&g, &terminals, 1.0).unwrap();
+            let approx = spcsh(&g, &terminals, 1.0, &[]).unwrap();
             // Feasible: spans all terminals and is connected by construction.
             for t in &terminals {
                 assert!(approx.nodes.contains(t));
@@ -1088,8 +955,8 @@ mod tests {
     fn pruning_speeds_but_may_cost() {
         let g = random_graph(42, 30, 60);
         let terminals = vec![NodeId(0), NodeId(15), NodeId(29)];
-        let unpruned = spcsh(&g, &terminals, 1.0).unwrap();
-        let pruned = spcsh(&g, &terminals, 0.5).unwrap();
+        let unpruned = spcsh(&g, &terminals, 1.0, &[]).unwrap();
+        let pruned = spcsh(&g, &terminals, 0.5, &[]).unwrap();
         // Pruned still feasible; cost can only be >= (fewer edges available).
         assert!(pruned.cost + 1e-9 >= unpruned.cost * 0.999 || pruned.cost >= unpruned.cost);
         for t in &terminals {

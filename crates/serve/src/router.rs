@@ -368,11 +368,6 @@ impl Router {
         entry.map(|e| e.lock().history.clone())
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shards themselves (test/bench introspection).
     pub fn shard(&self, i: usize) -> &Server {
         &self.shards[i]

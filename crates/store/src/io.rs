@@ -56,10 +56,7 @@ pub trait StoreFile: Send + fmt::Debug {
     /// Append `bytes` at the end of the file.
     fn write_all(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Flush file contents to durable storage.
-    fn sync_data(&mut self) -> io::Result<()>;
-    /// Truncate the file to `len` bytes.
-    fn set_len(&mut self, len: u64) -> io::Result<()>;
-}
+    fn sync_data(&mut self) -> io::Result<()>;}
 
 /// The filesystem surface the store is allowed to use.
 pub trait StoreFs: Send + Sync + fmt::Debug {
@@ -150,13 +147,6 @@ impl StoreFile for RealFile {
 
     fn sync_data(&mut self) -> io::Result<()> {
         self.0.sync_data()
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        use std::io::{Seek, SeekFrom};
-        self.0.set_len(len)?;
-        self.0.seek(SeekFrom::End(0))?;
-        Ok(())
     }
 }
 
@@ -565,16 +555,6 @@ impl StoreFile for SimHandle {
         let mut s = self.sim.state.lock();
         let fault = s.tick(OpCat::Sync)?;
         s.apply_sync(&self.path, fault)
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        let mut s = self.sim.state.lock();
-        if s.dead {
-            return Err(err("process dead after torn append"));
-        }
-        let f = s.file_mut(&self.path);
-        f.visible.truncate(len as usize);
-        Ok(())
     }
 }
 

@@ -7,6 +7,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
+# Neither the line above nor `cargo test` compiles the micro-benches
+# (crates/bench/benches/*), so an API change would break them unseen.
+cargo build --release --offline --workspace --benches
 # Invariant lint: zero non-baselined findings (wall-clock reads, random
 # hasher state, panics on request paths, lock-order cycles, protocol
 # gaps, hot-path allocations, …). The ratchet lives in

@@ -66,7 +66,7 @@ fn spcsh_within_bound() {
         terminals.sort();
         terminals.dedup();
         let exact = steiner_exact(&g, &terminals).expect("backbone connects");
-        let approx = spcsh(&g, &terminals, 1.0).expect("connected");
+        let approx = spcsh(&g, &terminals, 1.0, &[]).expect("connected");
         let k = terminals.len() as f64;
         prop_ensure!(exact.cost <= approx.cost + 1e-9);
         let bound = if k > 1.0 { 2.0 * (1.0 - 1.0 / k) } else { 1.0 };
