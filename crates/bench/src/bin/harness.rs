@@ -200,11 +200,9 @@ fn section_e8() -> String {
     out
 }
 
-/// The sweeps behind both the serve section and `BENCH_serve.json`.
-const SERVE_CONCURRENCY: &[usize] = &[1, 2, 4];
-/// Per-point timed requests. 600 (up from 150) so each level's p99
-/// rests on ≥600 samples per client — at 150, the 99th percentile was
-/// one-or-two observations and jittered run to run.
+// The serve sweeps behind both the serve section and `BENCH_serve.json`.
+
+/// Per-client requests in the cross-shard sweep.
 const SERVE_REQUESTS_PER_CLIENT: usize = 600;
 /// Kill-and-recover levels: (journaled records, snapshot cadence).
 const SERVE_RECOVERY_LEVELS: &[(u64, u64)] = &[(100, 16), (400, 64), (400, 8)];
@@ -223,24 +221,6 @@ const HERD_CLIENTS: usize = 4;
 
 fn section_serve() -> String {
     let mut out = String::new();
-    writeln!(
-        out,
-        "== S1: copycat-serve throughput/latency (closed-loop clients, in-process) ==\n"
-    )
-    .unwrap();
-    let rows = serve_load::run(SERVE_CONCURRENCY, SERVE_REQUESTS_PER_CLIENT);
-    let mut t = TextTable::new(&["clients", "requests", "throughput rps", "p50", "p99"]);
-    for r in &rows {
-        t.row(vec![
-            r.clients.to_string(),
-            r.requests.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            dur(std::time::Duration::from_micros(r.p50_us)),
-            dur(std::time::Duration::from_micros(r.p99_us)),
-        ]);
-    }
-    writeln!(out, "{}", t.render()).unwrap();
-
     writeln!(
         out,
         "== S2: kill-and-recover (durable router, sync_every=1, crash = drop) ==\n"
@@ -363,11 +343,9 @@ fn section_serve() -> String {
 
 /// `harness -- serve-json`: the serve sweeps as machine-readable JSON on
 /// stdout (consumed by `scripts/bench_json.sh` into `BENCH_serve.json`):
-/// `{"load": […], "recovery": […], "cross_shard": […], "mem": {…},
-/// "herd": {…}}`. Runs serially, so the S4/S5 live-byte measurements
-/// are quiescent.
+/// `{"recovery": […], "cross_shard": […], "mem": {…}, "herd": {…}}`.
+/// Runs serially, so the S4/S5 live-byte measurements are quiescent.
 fn serve_json() -> String {
-    let load = serve_load::run(SERVE_CONCURRENCY, SERVE_REQUESTS_PER_CLIENT);
     let recovery = serve_load::run_recovery(SERVE_RECOVERY_LEVELS);
     let cross = serve_load::run_cross_shard(
         SERVE_SHARD_COUNTS,
@@ -383,7 +361,6 @@ fn serve_json() -> String {
         Some(&|| ALLOC.snapshot()),
     );
     copycat_util::json::Json::obj(vec![
-        ("load".into(), serve_load::rows_to_json(&load)),
         ("recovery".into(), serve_load::recovery_to_json(&recovery)),
         (
             "cross_shard".into(),

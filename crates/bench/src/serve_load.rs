@@ -1,14 +1,15 @@
-//! Serve-layer load generation: closed-loop clients against the
-//! in-process transport, reporting throughput and latency quantiles
-//! per concurrency level.
+//! Serve-layer experiments beyond the paper: kill-and-recover (S2),
+//! cross-shard routing with live migration (S3), per-session memory
+//! (S4) and the many-session herd (S5). Closed-loop throughput of the
+//! serving path is perfbench's to measure.
 //!
-//! Each client owns one session (multi-tenant, so clients never contend
-//! on a session lock), performs a fixed warm-up conversation (import
-//! two joinable sources), then issues a timed loop of the interactive
-//! hot path: query discovery (`autocomplete`, hitting the query cache
-//! after the first round), `render`, and `session_stats`. Clients are
-//! closed-loop — one outstanding request each — so the offered load
-//! scales with the concurrency level and the queue never overflows.
+//! The sweeps share one client conversation. Each client owns one
+//! session (multi-tenant, so clients never contend on a session lock),
+//! performs a fixed warm-up conversation (import two joinable sources),
+//! then issues a loop of the interactive hot path: query discovery
+//! (`autocomplete`, hitting the query cache after the first round),
+//! `render`, and `session_stats`. Clients are closed-loop — one
+//! outstanding request each — so the queue never overflows.
 
 use copycat_serve::router::{Router, RouterConfig};
 use copycat_serve::server::{Server, ServerConfig};
@@ -18,33 +19,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One concurrency level's aggregate results.
-#[derive(Debug, Clone)]
-pub struct ServeLoadRow {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Timed requests issued across all clients.
-    pub requests: u64,
-    /// Responses with `ok:true`.
-    pub ok: u64,
-    /// Wall time for the timed portion.
-    pub elapsed: Duration,
-    /// Timed requests per second (all clients together).
-    pub throughput_rps: f64,
-    /// Client-observed median latency (µs).
-    pub p50_us: u64,
-    /// Client-observed tail latency (µs).
-    pub p99_us: u64,
-}
-
 fn esc(s: &str) -> String {
     Json::str(s).to_string()
 }
 
-/// The per-client warm-up conversation as raw request lines, plus the
-/// two probe values its autocomplete hot path uses. Shared between the
-/// in-process [`Server`] load loop and the [`Router`] sweeps (both
-/// speak the same line protocol).
+/// The per-client warm-up conversation as raw request lines: a session
+/// with two committed, joinable sources, tagged so tenants never share
+/// values. Also returns the two probe values its autocomplete hot path
+/// uses.
 fn warm_up_lines(session: &str, tag: &str) -> (Vec<String>, String, String) {
     let s = format!("\"session\":{}", esc(session));
     let rows: Vec<Vec<String>> = (0..4)
@@ -119,16 +101,6 @@ fn warm_up_lines(session: &str, tag: &str) -> (Vec<String>, String, String) {
     (lines, rows[0][1].clone(), contacts[0][1].clone())
 }
 
-/// The per-client warm-up: a session with two committed, joinable
-/// sources, tagged so tenants never share values.
-fn warm_up(server: &Server, session: &str, tag: &str) -> (String, String) {
-    let (lines, a, b) = warm_up_lines(session, tag);
-    for line in &lines {
-        server.handle_line(line);
-    }
-    (a, b)
-}
-
 /// The interactive hot path for one session, as raw request lines.
 fn hot_path_lines(session: &str, probes: (&str, &str)) -> Vec<String> {
     let s = format!("\"session\":{}", esc(session));
@@ -141,104 +113,6 @@ fn hot_path_lines(session: &str, probes: (&str, &str)) -> Vec<String> {
         format!("{{\"id\":2,\"op\":\"render\",{s}}}"),
         format!("{{\"id\":3,\"op\":\"session_stats\",{s}}}"),
     ]
-}
-
-/// Run the timed loop for one client; records latencies into `hist`.
-/// Returns (requests, ok).
-fn client_loop(
-    server: &Server,
-    session: &str,
-    probes: (&str, &str),
-    requests: usize,
-    hist: &Histogram,
-) -> (u64, u64) {
-    let script = hot_path_lines(session, probes);
-    // Untimed warm-up rounds: populate the query cache, response
-    // scratch, and scratch pools so the timed loop measures the steady
-    // state, not first-touch costs.
-    for _ in 0..2 {
-        for line in &script {
-            server.handle_line(line);
-        }
-    }
-    let mut sent = 0u64;
-    let mut ok = 0u64;
-    for i in 0..requests {
-        let line = &script[i % script.len()];
-        let start = Instant::now();
-        let resp = server.handle_line(line);
-        hist.record(start.elapsed());
-        sent += 1;
-        if resp.contains("\"ok\":true") {
-            ok += 1;
-        }
-    }
-    (sent, ok)
-}
-
-/// Drive one concurrency level: `clients` closed-loop clients, each
-/// issuing `requests_per_client` timed requests over its own session.
-pub fn run_level(clients: usize, requests_per_client: usize) -> ServeLoadRow {
-    let server = Arc::new(Server::new(ServerConfig {
-        workers: clients.clamp(2, 8),
-        queue_depth: (clients * 2).max(16),
-        shards: 8,
-    }));
-    // Warm up all sessions before the clock starts.
-    let probes: Vec<(String, String)> = (0..clients)
-        .map(|c| warm_up(&server, &format!("client-{c}"), &format!("c{c}")))
-        .collect();
-
-    let hist = Arc::new(Histogram::default());
-    let started = Instant::now();
-    let (mut sent, mut ok) = (0u64, 0u64);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let server = Arc::clone(&server);
-                let hist = Arc::clone(&hist);
-                let (a, b) = probes[c].clone();
-                scope.spawn(move || {
-                    client_loop(
-                        &server,
-                        &format!("client-{c}"),
-                        (&a, &b),
-                        requests_per_client,
-                        &hist,
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            let (s, o) = h.join().expect("client thread");
-            sent += s;
-            ok += o;
-        }
-    });
-    let elapsed = started.elapsed();
-    let snap = hist.snapshot();
-    let row = ServeLoadRow {
-        clients,
-        requests: sent,
-        ok,
-        elapsed,
-        throughput_rps: sent as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: snap.p50_us,
-        p99_us: snap.p99_us,
-    };
-    match Arc::try_unwrap(server) {
-        Ok(s) => s.shutdown(),
-        Err(_) => unreachable!("clients joined"),
-    }
-    row
-}
-
-/// The full sweep over concurrency levels.
-pub fn run(concurrency: &[usize], requests_per_client: usize) -> Vec<ServeLoadRow> {
-    concurrency
-        .iter()
-        .map(|&c| run_level(c.max(1), requests_per_client))
-        .collect()
 }
 
 /// One kill-and-recover measurement: journal a session under load,
@@ -360,8 +234,8 @@ pub struct CrossShardRow {
     pub migrations: u64,
 }
 
-/// Cross-shard sweep: same closed-loop hot path as [`run`], but through
-/// the consistent-hash router at several shard counts, ending with a
+/// Cross-shard sweep: the closed-loop hot path through the
+/// consistent-hash router at several shard counts, ending with a
 /// full round of live migrations.
 pub fn run_cross_shard(shard_counts: &[usize], clients: usize, requests_per_client: usize) -> Vec<CrossShardRow> {
     shard_counts
@@ -477,7 +351,7 @@ const MEM_VENUES: usize = 48;
 
 /// The herd is a latency/residency experiment, not a memory-scaling
 /// one: it keeps a small world so its hot path stays comparable to the
-/// load sweep's (whose private sources are 4 rows each).
+/// cross-shard sweep's (whose private sources are 4 rows each).
 const HERD_VENUES: usize = 6;
 
 fn mem_server() -> Server {
@@ -674,8 +548,7 @@ pub fn run_herd(
                     for p in (c..probe_sessions).step_by(clients.max(1)) {
                         let session = format!("herd-{}", p * stride);
                         let script = hot_path_lines(&session, (&street, &phone));
-                        // One untimed pass per tenant (same warm-up the
-                        // load sweep's clients get): the timed loop
+                        // One untimed pass per tenant: the timed loop
                         // measures the steady state, not the first
                         // query-cache fill.
                         for line in &script {
@@ -721,28 +594,6 @@ pub fn run_herd(
         Err(_) => unreachable!("herd clients joined"),
     }
     row
-}
-
-/// Render the load rows (the original `BENCH_serve.json` array).
-pub fn rows_to_json(rows: &[ServeLoadRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("clients".into(), Json::Num(r.clients as f64)),
-                    ("requests".into(), Json::Num(r.requests as f64)),
-                    ("ok".into(), Json::Num(r.ok as f64)),
-                    (
-                        "elapsed_us".into(),
-                        Json::Num(r.elapsed.as_micros() as f64),
-                    ),
-                    ("throughput_rps".into(), Json::Num(r.throughput_rps)),
-                    ("p50_us".into(), Json::Num(r.p50_us as f64)),
-                    ("p99_us".into(), Json::Num(r.p99_us as f64)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Render the recovery rows as a `BENCH_serve.json` section.
@@ -862,20 +713,6 @@ pub fn herd_to_json(r: &HerdRow) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn load_generator_produces_clean_runs() {
-        let rows = run(&[1, 2], 30);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.requests, 30 * r.clients as u64);
-            assert_eq!(r.ok, r.requests, "all load-gen requests must succeed");
-            assert!(r.throughput_rps > 0.0);
-            assert!(r.p99_us >= r.p50_us);
-        }
-        let json = rows_to_json(&rows).to_string();
-        assert!(json.contains("throughput_rps"));
-    }
 
     #[test]
     fn recovery_sweep_recovers_intact() {

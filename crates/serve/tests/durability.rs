@@ -14,6 +14,18 @@ use copycat_services::{World, WorldConfig};
 use copycat_util::check::check;
 use copycat_util::json::Json;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Poll `cond` until it holds. Panics after ten seconds, so a test
+/// whose sequencing breaks fails instead of hanging.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(start.elapsed() < Duration::from_secs(10), "gave up waiting until {what}");
+        std::thread::yield_now();
+    }
+}
 
 /// A unique, empty scratch root per test invocation.
 fn temp_root(tag: &str) -> PathBuf {
@@ -651,7 +663,6 @@ fn closed_sessions_stay_closed_after_recovery() {
 fn refused_requests_are_never_journaled() {
     use copycat_serve::protocol::Op;
     use std::sync::atomic::Ordering;
-    use std::time::Duration;
 
     let root = temp_root("refused");
     // One shard with one run slot and one wait slot, so overload is
@@ -708,27 +719,31 @@ fn refused_requests_are_never_journaled() {
     });
 
     // Overloaded: `render t` holds the run slot (blocked on t's lock),
-    // `render u` waits, and a mutation for s finds no room.
+    // `render u` waits, and a mutation for s finds no room. Each step
+    // starts only once the one before it is observed, so `u` can
+    // neither take the slot first nor finish before the probe.
     let session = router.shard(0).registry().get("t").expect("session t");
     let held = session.state.lock();
-    let before = admitted(Op::Render);
+    let idle = Arc::strong_count(&session);
     std::thread::scope(|scope| {
-        let renders: Vec<_> = ["t", "u"]
-            .iter()
-            .map(|name| {
-                let line = format!("{{\"id\":11,\"op\":\"render\",\"session\":\"{name}\"}}");
-                let router = &router;
-                scope.spawn(move || router.handle_line(&line))
-            })
-            .collect();
-        while admitted(Op::Render) < before + 2 {
-            std::thread::yield_now();
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        let line = r#"{"id":12,"op":"open_doc","session":"s","name":"E","headers":[],"rows":[]}"#;
+        let render = |name: &str| {
+            let line = format!("{{\"id\":11,\"op\":\"render\",\"session\":\"{name}\"}}");
+            let router = &router;
+            scope.spawn(move || router.handle_line(&line))
+        };
+        let t = render("t");
+        // A request looks its session up only after taking a run slot.
+        wait_until("render t holds the run slot", || Arc::strong_count(&session) > idle);
+        let u = render("u");
+        // A zero-deadline ping is `overloaded` only while the wait list
+        // is full, and times out otherwise without keeping the wait
+        // slot past the gate's lock, so it cannot crowd `u` out.
+        let ping = r#"{"id":0,"op":"ping","deadline_ms":0}"#;
+        wait_until("render u waits for the slot", || kind(&router.handle_line(ping)) == "overloaded");
+        let line = r#"{"id":12,"op":"open_doc","session":"s","name":"E","headers":[],"rows":[],"deadline_ms":1000}"#;
         assert_eq!(kind(&router.handle_line(line)), "overloaded");
         drop(held);
-        for r in renders {
+        for r in [t, u] {
             assert_eq!(kind(&r.join().expect("render")), "ok");
         }
     });

@@ -1,5 +1,10 @@
-//! JSON values, serialization, parsing, and the derive-free
+//! JSON values, serialization, and the derive-free
 //! [`ToJson`]/[`FromJson`] trait pair.
+//!
+//! [`Json::parse`] has no grammar of its own: it parses through
+//! [`ZDoc`](crate::zjson::ZDoc), the one JSON parser, and copies the
+//! root out. Depth limit, accepted inputs and error wording are
+//! `zjson`'s.
 //!
 //! This replaces the workspace's `serde`/`serde_json` usage. Types that
 //! persist (session state, source graphs, wrappers, pattern models)
@@ -9,6 +14,7 @@
 //! Objects preserve insertion order, so serialization is deterministic:
 //! the same state always produces byte-identical session files.
 
+use crate::zjson::ZDoc;
 use std::fmt;
 
 /// A JSON document value.
@@ -205,15 +211,9 @@ impl Json {
     }
 
     /// Parse a JSON document. Trailing non-whitespace is an error.
+    /// The grammar is [`ZDoc`]'s; this is its owned copy of the root.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
+        Ok(ZDoc::new().parse(text)?.to_json())
     }
 }
 
@@ -250,213 +250,6 @@ pub fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError::new(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("invalid literal (expected {word})")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let val = self.value(depth + 1)?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            Some(_) => self.number(),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy the unescaped run in one slice.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => return Err(self.err("control character in string")),
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(s).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let v: f64 = text
-            .parse()
-            .map_err(|_| self.err(&format!("invalid number {text:?}")))?;
-        // `f64::parse` reports overflow as ±inf, not an error. A
-        // non-finite `Num` would serialize as `null` and change shape
-        // on the next round trip, so reject it here.
-        if !v.is_finite() {
-            return Err(self.err(&format!("number {text:?} out of f64 range")));
-        }
-        Ok(Json::Num(v))
-    }
 }
 
 impl fmt::Display for Json {
@@ -881,7 +674,13 @@ mod tests {
 
     #[test]
     fn deep_nesting_is_rejected_not_overflowed() {
-        let deep = "[".repeat(500) + &"]".repeat(500);
-        assert!(Json::parse(&deep).is_err());
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        for depth in [130, 200, 500] {
+            let err = Json::parse(&nested(depth)).unwrap_err();
+            assert_eq!(err.to_string(), "json error: nesting too deep at byte 129");
+        }
+        for depth in [100, 129] {
+            assert_eq!(Json::parse(&nested(depth)).unwrap().to_string(), nested(depth));
+        }
     }
 }

@@ -10,9 +10,9 @@
 //!   surface (`gen_range`, `gen_bool`, `shuffle`).
 //! - [`hash`] — the FxHash function with `FxHashMap`/`FxHashSet`
 //!   aliases (replaces `rustc-hash`).
-//! - [`json`] — a JSON value type, serializer and parser, plus the
+//! - [`json`] — a JSON value type and serializer, plus the
 //!   derive-free [`json::ToJson`]/[`json::FromJson`] trait pair
-//!   (replaces `serde`/`serde_json`).
+//!   (replaces `serde`/`serde_json`). Its parser is [`zjson`]'s.
 //! - [`check`] — a small property-testing harness with seeded case
 //!   generation, tape-based shrinking, and regression-seed replay
 //!   (replaces `proptest`).
@@ -26,10 +26,10 @@
 //!   (replaces `crc32fast`).
 //! - [`varint`] — LEB128 length prefixes for the WAL's record framing
 //!   (replaces `integer-encoding`).
-//! - [`zjson`] — a zero-copy flat-DOM JSON parser sharing [`json`]'s
-//!   grammar: escape-free strings become spans into the input line,
-//!   and a warm doc parses with zero heap allocations (the serve hot
-//!   path's parser).
+//! - [`zjson`] — the one JSON parser, into a zero-copy flat DOM:
+//!   escape-free strings become spans into the input line, and a warm
+//!   doc parses with zero heap allocations (the serve hot path reads
+//!   requests through it; `Json::parse` copies its root out).
 //!
 //! Every generator in this crate is deterministic per seed, so bench
 //! tables and property tests are bit-reproducible across runs on the

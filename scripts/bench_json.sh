@@ -6,11 +6,10 @@
 #     {nodes, terminals, exact_us, spcsh_us, ratio}; exact_us/ratio are
 #     null where the exact solve is out of the sweep's range.
 #   BENCH_serve.json — the serve-layer sweeps as
-#     {"load": …, "recovery": …, "cross_shard": …, "mem": …, "herd": …}.
-#     "load" rows are {clients, requests, ok, elapsed_us,
-#     throughput_rps, p50_us, p99_us}; "recovery" rows are
-#     kill-and-recover timings {records, snapshot_every,
-#     journal_elapsed_us, recover_us, replayed, snapshots, intact};
+#     {"recovery": …, "cross_shard": …, "mem": …, "herd": …}.
+#     "recovery" rows are kill-and-recover timings {records,
+#     snapshot_every, journal_elapsed_us, recover_us, replayed,
+#     snapshots, intact};
 #     "cross_shard" rows are router throughput + live-migration cost
 #     {shards, clients, requests, ok, elapsed_us, throughput_rps,
 #     migrate_mean_us, migrations}; "mem" is the copy-on-write memory

@@ -17,7 +17,11 @@ cargo build --release --offline --workspace --benches
 # whole-tree analysis (symbol index + call graph) from creeping into CI
 # latency — it runs in well under a second today.
 cargo run --release --offline -q -p copycat-lint -- check --budget-ms 20000
-cargo test -q --offline --workspace
+# A deadlocked test must fail the gate, not wedge it: the suite runs
+# under a time limit. It takes about 35 s with warm test binaries and
+# 82 s from a cold debug build on a 2-core box; 900 s leaves wide
+# headroom, and `timeout` exits non-zero (124) when it fires.
+timeout --kill-after=30 900 cargo test -q --offline --workspace
 # The benchmark lives in its own workspace (perfbench/), so the line
 # above never compiles it: test it explicitly, or an API change to the
 # server, router, store or JSON types would break it unseen.
