@@ -10,7 +10,7 @@ use crate::e4_structure::prf;
 use crate::gen::{random_graph, GraphSpec};
 use copycat_document::corpus::{render_list, Faker, ListSpec, Tier};
 use copycat_document::Document;
-use copycat_extract::learn::{ExpertToggles, LearnOptions};
+use copycat_extract::ExpertToggles;
 use copycat_extract::StructureLearner;
 use copycat_graph::{discover_associations, spcsh, steiner_exact, AssocOptions, SourceGraph};
 use copycat_query::{execute, Catalog, Field, Plan, Relation, Schema};
@@ -69,7 +69,7 @@ pub fn run_a1() -> A1Result {
         let mut g = SourceGraph::new();
         g.add_relation("Shelters", schema.clone());
         g.add_relation("Status", status_schema.clone());
-        let opts = AssocOptions { conjunction_of_all: conj, ..Default::default() };
+        let opts = AssocOptions { conjunction_of_all: conj };
         discover_associations(&mut g, &opts);
         let shelters = g.node_by_name("Shelters").expect("node");
         let mut worst: Option<(usize, f64)> = None;
@@ -122,10 +122,7 @@ pub fn run_a2(seeds: u64) -> Vec<A2Row> {
     let registry = TypeRegistry::with_builtins();
     let mut out = Vec::new();
     for (name, toggles) in configs {
-        let learner = StructureLearner::with_options(LearnOptions {
-            enabled_experts: toggles,
-            ..Default::default()
-        });
+        let learner = StructureLearner::with_experts(toggles);
         let mut sum = 0.0;
         let mut n = 0usize;
         for seed in 0..seeds {

@@ -107,18 +107,6 @@ impl Tab {
         n
     }
 
-    /// Accept one suggested row by index. Returns false on bad index or
-    /// non-suggested row.
-    pub fn accept_row(&mut self, i: usize) -> bool {
-        match self.rows.get_mut(i) {
-            Some(r) if r.state == RowState::Suggested => {
-                r.state = RowState::Accepted;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Reject (remove) one suggested row by index, returning its cells.
     pub fn reject_row(&mut self, i: usize) -> Option<Vec<String>> {
         match self.rows.get(i) {
@@ -187,15 +175,6 @@ impl Tab {
     /// All rows' cells regardless of state.
     pub fn all_rows(&self) -> Vec<Vec<String>> {
         self.rows.iter().map(|r| r.cells.clone()).collect()
-    }
-
-    /// Values of one column (committed rows only).
-    pub fn column_values(&self, col: usize) -> Vec<String> {
-        self.rows
-            .iter()
-            .filter(|r| r.state != RowState::Suggested)
-            .filter_map(|r| r.cells.get(col).cloned())
-            .collect()
     }
 
     /// ASCII rendering with suggestion markers — the headless stand-in
@@ -327,10 +306,10 @@ mod tests {
             (vec!["c".to_string()], None),
         ]);
         assert_eq!(t.rows.len(), 3);
-        assert!(t.accept_row(1));
-        assert_eq!(t.rows[1].state, RowState::Accepted);
         let rejected = t.reject_row(2).unwrap();
         assert_eq!(rejected, vec!["c"]);
+        assert_eq!(t.accept_all_suggestions(), 1);
+        assert_eq!(t.rows[1].state, RowState::Accepted);
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.committed_rows().len(), 2);
     }

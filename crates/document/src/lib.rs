@@ -14,11 +14,11 @@
 //!   `copycat-extract` to operate on realistic page structure;
 //! * [`spreadsheet`] — a rectangular sheet model with CSV round-tripping,
 //!   standing in for Excel sources;
-//! * [`text`] — plain-text documents with line/span addressing;
+//! * [`text`] — plain-text documents with line addressing and search;
 //! * [`site`] — multi-page Web sites: pages keyed by URL, links, and forms
 //!   with input bindings (the "hierarchical Web sites" of §2.2);
-//! * [`clipboard`] — copy and paste *events*: the unit of interaction the
-//!   SCP engine observes;
+//! * [`clipboard`] — the registry of source documents a paste refers to
+//!   by handle;
 //! * [`corpus`] — seeded synthetic corpus generators (shelter lists, noisy
 //!   templates, paginated sites, contact sheets) used by the experiments.
 
@@ -29,7 +29,7 @@ pub mod site;
 pub mod spreadsheet;
 pub mod text;
 
-pub use clipboard::{Clipboard, CopyEvent, Document, DocumentId, PasteEvent, Selection};
+pub use clipboard::{Clipboard, Document, DocumentId};
 pub use html::{HtmlDocument, NodeId, NodeKind, TagPath, TagStep};
 pub use site::{Form, Page, Url, Website};
 pub use spreadsheet::{CellAddr, Sheet, SheetRange};

@@ -174,20 +174,6 @@ impl Sheet {
         None
     }
 
-    /// The cell values of a range, row-major, tab-joined per row and
-    /// newline-joined across rows — the text a copy of that range yields.
-    pub fn range_text(&self, range: SheetRange) -> String {
-        let mut lines = Vec::with_capacity(range.row_count());
-        for r in range.start.row..=range.end.row {
-            let mut cells = Vec::with_capacity(range.col_count());
-            for c in range.start.col..=range.end.col {
-                cells.push(self.cell(CellAddr::new(r, c)).unwrap_or(""));
-            }
-            lines.push(cells.join("\t"));
-        }
-        lines.join("\n")
-    }
-
     /// Parse CSV with quoting support. `has_header` promotes the first
     /// record to the header row.
     pub fn from_csv(name: impl Into<String>, csv: &str, has_header: bool) -> Self {
@@ -314,17 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn range_text_is_tsv() {
-        let s = Sheet::new(
-            "s",
-            None,
-            vec![
-                vec!["a".into(), "b".into()],
-                vec!["c".into(), "d".into()],
-            ],
-        );
+    fn range_iterates_every_cell() {
         let r = SheetRange::new(CellAddr::new(0, 0), CellAddr::new(1, 1));
-        assert_eq!(s.range_text(r), "a\tb\nc\td");
         assert_eq!(r.iter().count(), 4);
     }
 

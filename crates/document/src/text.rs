@@ -1,5 +1,5 @@
 //! Plain-text documents (the "Word documents" of the paper's application
-//! wrappers) with line- and byte-span addressing.
+//! wrappers) with line addressing and substring search.
 
 /// A plain-text document with cheap line lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,12 +58,6 @@ impl TextDocument {
         Some(&self.body[start..end])
     }
 
-    /// Byte span `[start, end)` as text; `None` when out of bounds or not on
-    /// char boundaries.
-    pub fn span(&self, start: usize, end: usize) -> Option<&str> {
-        self.body.get(start..end)
-    }
-
     /// Find every byte offset where `needle` occurs.
     pub fn find_all(&self, needle: &str) -> Vec<usize> {
         if needle.is_empty() {
@@ -76,15 +70,6 @@ impl TextDocument {
             from += pos + 1;
         }
         out
-    }
-
-    /// The (line, column-in-bytes) of a byte offset.
-    pub fn line_col(&self, offset: usize) -> (usize, usize) {
-        let line = match self.line_starts.binary_search(&offset) {
-            Ok(l) => l,
-            Err(ins) => ins - 1,
-        };
-        (line, offset - self.line_starts[line])
     }
 }
 
@@ -108,12 +93,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_and_search() {
+    fn search() {
         let d = TextDocument::new("t", "shelter: Coconut Creek HS\nshelter: Pompano Rec");
-        let hits = d.find_all("shelter:");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(d.line_col(hits[1]), (1, 0));
-        assert_eq!(d.span(hits[0], hits[0] + 8), Some("shelter:"));
+        assert_eq!(d.find_all("shelter:"), vec![0, 26]);
     }
 
     #[test]

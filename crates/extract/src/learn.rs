@@ -25,27 +25,24 @@ use copycat_document::html::{HtmlDocument, StepIndex, TagPath};
 use copycat_document::{Document, Page, Website};
 use copycat_semantic::TypeRegistry;
 
-/// Tunables for the hypothesis search.
-#[derive(Debug, Clone)]
-pub struct LearnOptions {
-    /// Minimum records for an expert proposal to count.
-    pub min_support: usize,
-    /// Maximum hypotheses returned.
-    pub max_hypotheses: usize,
-    /// Weight of type coherence in the ranking score.
-    pub w_types: f64,
-    /// Weight of layout regularity.
-    pub w_layout: f64,
-    /// Penalty weight of the empty-cell fraction.
-    pub w_empty: f64,
-    /// Reward for extracting beyond the examples (log-scaled row count).
-    pub w_yield: f64,
-    /// Enable individual experts (used by ablation A2): list, template,
-    /// types, layout, url.
-    pub enabled_experts: ExpertToggles,
-}
+/// Minimum records for an expert proposal to count.
+const MIN_SUPPORT: usize = 2;
+/// Maximum hypotheses returned.
+const MAX_HYPOTHESES: usize = 8;
+/// Weight of type coherence in the ranking score.
+const W_TYPES: f64 = 2.0;
+/// Weight of layout regularity.
+const W_LAYOUT: f64 = 0.5;
+/// Penalty weight of the empty-cell fraction.
+const W_EMPTY: f64 = 2.0;
+/// Reward for extracting beyond the examples (log-scaled row count).
+/// The most-general-consistent preference (§3.1) has to be strong
+/// enough that generalizing across a site's pages beats small per-page
+/// fluctuations in type coherence.
+const W_YIELD: f64 = 1.0;
 
-/// Which experts participate (ablation switch).
+/// Which experts participate (ablation A2 switches them off one at a
+/// time).
 #[derive(Debug, Clone, Copy)]
 pub struct ExpertToggles {
     /// Repeated-sibling expert.
@@ -66,23 +63,6 @@ impl Default for ExpertToggles {
     }
 }
 
-impl Default for LearnOptions {
-    fn default() -> Self {
-        Self {
-            min_support: 2,
-            max_hypotheses: 8,
-            w_types: 2.0,
-            w_layout: 0.5,
-            w_empty: 2.0,
-            // The most-general-consistent preference (§3.1) has to be
-            // strong enough that generalizing across a site's pages beats
-            // small per-page fluctuations in type coherence.
-            w_yield: 1.0,
-            enabled_experts: ExpertToggles::default(),
-        }
-    }
-}
-
 /// A ranked hypothesis: an executable wrapper plus its score and preview.
 #[derive(Debug, Clone)]
 pub struct ScoredWrapper {
@@ -98,23 +78,18 @@ pub struct ScoredWrapper {
 /// The structure learner: generalizes pasted examples into wrappers.
 #[derive(Debug, Default)]
 pub struct StructureLearner {
-    opts: LearnOptions,
+    experts: ExpertToggles,
 }
 
 impl StructureLearner {
-    /// Learner with default options.
+    /// Learner with every expert on.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Learner with custom options.
-    pub fn with_options(opts: LearnOptions) -> Self {
-        Self { opts }
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &LearnOptions {
-        &self.opts
+    /// Learner with only the `experts` that are switched on.
+    pub fn with_experts(experts: ExpertToggles) -> Self {
+        Self { experts }
     }
 
     /// Learn ranked wrappers from example rows over a source document.
@@ -166,11 +141,11 @@ impl StructureLearner {
         let example_paths: Vec<TagPath> =
             located.iter().map(|l| html.tag_path(l.record)).collect();
         let mut proposals = Vec::new();
-        if self.opts.enabled_experts.list {
-            proposals.extend(experts::list_expert(html, self.opts.min_support));
+        if self.experts.list {
+            proposals.extend(experts::list_expert(html, MIN_SUPPORT));
         }
-        if self.opts.enabled_experts.template {
-            proposals.extend(experts::template_expert(html, self.opts.min_support));
+        if self.experts.template {
+            proposals.extend(experts::template_expert(html, MIN_SUPPORT));
         }
         for p in proposals {
             if example_paths.iter().all(|e| p.record_path.subsumes(e)) {
@@ -225,9 +200,7 @@ impl StructureLearner {
                     }
                 }
                 // Multi-page variant when the pattern recurs elsewhere.
-                if self.opts.enabled_experts.url
-                    && experts::url_expert(site, page, &record_path) > 0
-                {
+                if self.experts.url && experts::url_expert(site, page, &record_path) > 0 {
                     for v in variants.clone() {
                         variants.push(with_scope(&v, PageScope::AllPages));
                     }
@@ -258,7 +231,7 @@ impl StructureLearner {
 
         scored.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
         scored.dedup_by(|a, b| a.rows == b.rows);
-        scored.truncate(self.opts.max_hypotheses);
+        scored.truncate(MAX_HYPOTHESES);
         scored
     }
 
@@ -295,11 +268,11 @@ impl StructureLearner {
             }
         }
         let mut score = 0.0;
-        if self.opts.enabled_experts.types {
-            score += self.opts.w_types * experts::type_coherence(&rows, registry);
+        if self.experts.types {
+            score += W_TYPES * experts::type_coherence(&rows, registry);
         }
-        if self.opts.enabled_experts.layout {
-            score += self.opts.w_layout * experts::layout_regularity(&rows);
+        if self.experts.layout {
+            score += W_LAYOUT * experts::layout_regularity(&rows);
         }
         let empty_frac = {
             let cells = rows.len().max(1) * wrapper.arity().max(1);
@@ -309,11 +282,11 @@ impl StructureLearner {
                 .sum();
             empties as f64 / cells as f64
         };
-        score -= self.opts.w_empty * empty_frac;
+        score -= W_EMPTY * empty_frac;
         // Most-general preference: reward extracting beyond the examples,
         // log-scaled so 100 rows do not dominate type coherence.
         let extra = rows.len().saturating_sub(examples.len());
-        score += self.opts.w_yield * ((1 + extra) as f64).ln() / 4.0;
+        score += W_YIELD * ((1 + extra) as f64).ln() / 4.0;
         Some(ScoredWrapper { wrapper, score, rows })
     }
 }
@@ -614,7 +587,7 @@ mod tests {
     #[test]
     fn suggestions_are_ranked_and_bounded() {
         let (_, hyps) = learn_tier(Tier::Clean, 2);
-        assert!(hyps.len() <= LearnOptions::default().max_hypotheses);
+        assert!(hyps.len() <= MAX_HYPOTHESES);
         for pair in hyps.windows(2) {
             assert!(pair[0].score >= pair[1].score);
         }

@@ -29,6 +29,6 @@ pub mod sheet;
 pub mod stalker;
 pub mod wrapper;
 
-pub use learn::{LearnOptions, ScoredWrapper, StructureLearner};
+pub use learn::{ExpertToggles, ScoredWrapper, StructureLearner};
 pub use refine::refine;
 pub use wrapper::{execute, FieldRule, PageScope, RecordFilter, Wrapper};

@@ -20,33 +20,25 @@ pub struct AssocOptions {
     /// Use the conjunction of all shared attributes per source pair
     /// (paper default). When false, one edge per shared attribute.
     pub conjunction_of_all: bool,
-    /// Also add record-link edges on same-typed differently-named text
-    /// columns.
-    pub link_edges: bool,
-    /// Cost for discovered join edges.
-    pub join_cost: f64,
-    /// Cost for bind edges (service invocation).
-    pub bind_cost: f64,
-    /// Cost for link edges (record linking is less certain than an
-    /// equi-join, so it starts costlier).
-    pub link_cost: f64,
 }
 
 impl Default for AssocOptions {
     fn default() -> Self {
-        Self {
-            conjunction_of_all: true,
-            link_edges: true,
-            join_cost: 1.0,
-            // Services with a functional input→output relationship are
-            // the most promising completions (Figure 2 leads with the
-            // zip resolver), so bind edges start slightly cheaper than
-            // generic attribute joins.
-            bind_cost: 0.9,
-            link_cost: 1.5,
-        }
+        Self { conjunction_of_all: true }
     }
 }
+
+/// Cost for discovered join edges.
+const JOIN_COST: f64 = 1.0;
+/// Cost for bind edges (service invocation). Services with a functional
+/// input→output relationship are the most promising completions
+/// (Figure 2 leads with the zip resolver), so bind edges start slightly
+/// cheaper than generic attribute joins.
+const BIND_COST: f64 = 0.9;
+/// Cost for record-link edges on same-typed, differently-named text
+/// columns (record linking is less certain than an equi-join, so it
+/// starts costlier).
+const LINK_COST: f64 = 1.5;
 
 /// Whether two columns are join-compatible: equal names (case-insensitive)
 /// *and*, when both carry semantic types, equal types.
@@ -100,7 +92,7 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
             }
             if !pairs.is_empty() {
                 if opts.conjunction_of_all {
-                    g.add_edge_with_cost(a, b, EdgeKind::Join { pairs }, opts.join_cost);
+                    g.add_edge_with_cost(a, b, EdgeKind::Join { pairs }, JOIN_COST);
                     added += 1;
                 } else {
                     for p in pairs {
@@ -108,27 +100,23 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
                             a,
                             b,
                             EdgeKind::Join { pairs: vec![p] },
-                            opts.join_cost,
+                            JOIN_COST,
                         );
                         added += 1;
                     }
                 }
             }
             // Link edges on same-typed, differently-named columns.
-            if opts.link_edges {
-                for fa in na.schema.fields() {
-                    for fb in nb.schema.fields() {
-                        if link_compatible(fa, fb) {
-                            g.add_edge_with_cost(
-                                a,
-                                b,
-                                EdgeKind::Link {
-                                    pairs: vec![(fa.name.clone(), fb.name.clone())],
-                                },
-                                opts.link_cost,
-                            );
-                            added += 1;
-                        }
+            for fa in na.schema.fields() {
+                for fb in nb.schema.fields() {
+                    if link_compatible(fa, fb) {
+                        g.add_edge_with_cost(
+                            a,
+                            b,
+                            EdgeKind::Link { pairs: vec![(fa.name.clone(), fb.name.clone())] },
+                            LINK_COST,
+                        );
+                        added += 1;
                     }
                 }
             }
@@ -167,7 +155,7 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
                     rel_id,
                     svc_id,
                     EdgeKind::Bind { bindings },
-                    opts.bind_cost * svc.cost_hint,
+                    BIND_COST * svc.cost_hint,
                 );
                 added += 1;
             }
@@ -204,7 +192,7 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
                         xid,
                         yid,
                         EdgeKind::Bind { bindings },
-                        opts.bind_cost * 1.2 * y.cost_hint,
+                        BIND_COST * 1.2 * y.cost_hint,
                     );
                     added += 1;
                 }
@@ -282,7 +270,7 @@ mod tests {
 
     #[test]
     fn per_attribute_edges_when_ablated() {
-        let opts = AssocOptions { conjunction_of_all: false, ..Default::default() };
+        let opts = AssocOptions { conjunction_of_all: false };
         let g = graph_for(
             &[
                 ("a", Schema::of(&["X", "Y"])),

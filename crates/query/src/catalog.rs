@@ -8,15 +8,14 @@
 //!
 //! A catalog can be layered over a shared immutable *base* catalog
 //! ([`Catalog::with_base`]): reads fall through to the base, writes land
-//! only in the session-local layer, and removals of base entries are
-//! recorded as tombstones. Many tenant sessions over one synthetic world
+//! only in the session-local layer. Many tenant sessions over one synthetic world
 //! share the base's relations and service implementations by `Arc`
 //! instead of rebuilding them per session.
 
 use crate::relation::Relation;
 use crate::service::Service;
 use copycat_util::sync::RwLock;
-use copycat_util::hash::{FxHashMap, FxHashSet};
+use copycat_util::hash::FxHashMap;
 use std::sync::Arc;
 
 /// Shared catalog of relations and services.
@@ -24,13 +23,10 @@ use std::sync::Arc;
 pub struct Catalog {
     /// The shared immutable layer below this one, if any. The base is
     /// never written through — mutating methods only touch the local
-    /// maps and tombstones.
+    /// maps.
     base: Option<Arc<Catalog>>,
     relations: RwLock<FxHashMap<String, Arc<Relation>>>,
     services: RwLock<FxHashMap<String, Arc<dyn Service>>>,
-    /// Base relation names this layer has removed (source retraction of
-    /// a shared relation hides it for this session only).
-    removed: RwLock<FxHashSet<String>>,
 }
 
 impl Catalog {
@@ -54,7 +50,6 @@ impl Catalog {
     /// Register (or replace) a relation under its own name.
     pub fn add_relation(&self, rel: Relation) -> Arc<Relation> {
         let arc = Arc::new(rel);
-        self.removed.write().remove(arc.name());
         self.relations
             .write()
             .insert(arc.name().to_string(), Arc::clone(&arc));
@@ -71,11 +66,7 @@ impl Catalog {
         if let Some(rel) = self.relations.read().get(name).cloned() {
             return Some(rel);
         }
-        let base = self.base.as_ref()?;
-        if self.removed.read().contains(name) {
-            return None;
-        }
-        base.relation(name)
+        self.base.as_ref()?.relation(name)
     }
 
     /// Look up a service.
@@ -90,9 +81,8 @@ impl Catalog {
     pub fn relation_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.relations.read().keys().cloned().collect();
         if let Some(base) = &self.base {
-            let removed = self.removed.read();
             for name in base.relation_names() {
-                if !removed.contains(&name) && !self.relations.read().contains_key(&name) {
+                if !self.relations.read().contains_key(&name) {
                     v.push(name);
                 }
             }
@@ -113,22 +103,6 @@ impl Catalog {
         }
         v.sort();
         v
-    }
-
-    /// Remove a relation (source retraction). Removing a base relation
-    /// tombstones it in this layer; the shared base is untouched.
-    pub fn remove_relation(&self, name: &str) -> bool {
-        let had_local = self.relations.write().remove(name).is_some();
-        let Some(base) = &self.base else {
-            return had_local;
-        };
-        if base.relation(name).is_some() {
-            // Tombstone whether or not a local shadow also existed, so
-            // the base entry doesn't resurface after the removal.
-            let newly = self.removed.write().insert(name.to_string());
-            return had_local || newly;
-        }
-        had_local
     }
 }
 
@@ -164,8 +138,6 @@ mod tests {
         assert!(cat.relation("shelters").is_some());
         assert!(cat.relation("nope").is_none());
         assert_eq!(cat.relation_names(), vec!["shelters"]);
-        assert!(cat.remove_relation("shelters"));
-        assert!(!cat.remove_relation("shelters"));
     }
 
     #[test]
@@ -198,28 +170,5 @@ mod tests {
         assert_eq!(layered.relation("shelters").unwrap().schema().arity(), 2);
         assert_eq!(base.relation("shelters").unwrap().schema().arity(), 1);
         assert_eq!(layered.relation_names(), vec!["shelters"]);
-    }
-
-    #[test]
-    fn removing_a_base_relation_tombstones_locally() {
-        let base = Arc::new(Catalog::new());
-        base.add_relation(Relation::empty("shelters", Schema::of(&["Name"])));
-        let a = Catalog::with_base(Arc::clone(&base));
-        let b = Catalog::with_base(Arc::clone(&base));
-        assert!(a.remove_relation("shelters"));
-        assert!(a.relation("shelters").is_none());
-        assert!(a.relation_names().is_empty());
-        assert!(!a.remove_relation("shelters"), "second removal is a no-op");
-        // Sibling layer and base are unaffected.
-        assert!(b.relation("shelters").is_some());
-        assert!(base.relation("shelters").is_some());
-        // Re-adding clears the tombstone.
-        a.add_relation(Relation::empty("shelters", Schema::of(&["Name"])));
-        assert!(a.relation("shelters").is_some());
-        // Removing a shadowed base relation hides both copies.
-        let c = Catalog::with_base(Arc::clone(&base));
-        c.add_relation(Relation::empty("shelters", Schema::of(&["Name", "Zip"])));
-        assert!(c.remove_relation("shelters"));
-        assert!(c.relation("shelters").is_none());
     }
 }

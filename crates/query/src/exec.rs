@@ -78,17 +78,6 @@ impl ExecReport {
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
     }
-
-    /// The distinct failing services, first-failure order.
-    pub fn failed_services(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for f in &self.failures {
-            if !out.contains(&f.service.as_str()) {
-                out.push(&f.service);
-            }
-        }
-        out
-    }
 }
 
 /// Execute a plan against the catalog. The result is named `result`.
@@ -634,7 +623,7 @@ mod tests {
         // (the Tamarac row was a legitimate no-match, not a failure).
         assert!(!report.is_complete());
         assert_eq!(report.failures.len(), 2);
-        assert_eq!(report.failed_services(), vec!["zip_resolver"]);
+        assert!(report.failures.iter().all(|f| f.service == "zip_resolver"));
         assert_eq!(report.failures[0].kind, "unavailable");
     }
 

@@ -79,16 +79,6 @@ impl Relation {
     pub fn as_texts(&self) -> Vec<Vec<String>> {
         self.tuples.iter().map(Tuple::as_texts).collect()
     }
-
-    /// A column's values as text, nulls skipped (for type recognition).
-    pub fn column_texts(&self, col: usize) -> Vec<String> {
-        self.tuples
-            .iter()
-            .filter_map(|t| t.get(col))
-            .filter(|v| !v.is_null())
-            .map(Value::as_text)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -117,15 +107,5 @@ mod tests {
             vec![vec![Value::str("only")]],
         );
         assert_eq!(r.tuples()[0].values, vec![Value::str("only"), Value::Null]);
-    }
-
-    #[test]
-    fn column_texts_skip_nulls() {
-        let r = Relation::from_strings(
-            "r",
-            Schema::of(&["A"]),
-            &[vec!["x".into()], vec!["".into()], vec!["y".into()]],
-        );
-        assert_eq!(r.column_texts(0), vec!["x", "y"]);
     }
 }

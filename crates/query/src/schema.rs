@@ -115,14 +115,6 @@ impl Schema {
             .collect()
     }
 
-    /// Columns (name pairs) shared with another schema.
-    pub fn common_columns<'a>(&'a self, other: &'a Schema) -> Vec<&'a str> {
-        self.fields
-            .iter()
-            .filter(|f| other.index_of(&f.name).is_some())
-            .map(|f| f.name.as_str())
-            .collect()
-    }
 }
 
 impl ToJson for Schema {
@@ -184,13 +176,6 @@ mod tests {
         let b = Schema::new(vec![Field::typed("City", "PR-City")]);
         let m = a.union_merge(&b);
         assert_eq!(m.field(0).unwrap().sem_type.as_deref(), Some("PR-City"));
-    }
-
-    #[test]
-    fn common_columns() {
-        let a = Schema::of(&["Name", "City", "Zip"]);
-        let b = Schema::of(&["City", "Zip", "Phone"]);
-        assert_eq!(a.common_columns(&b), vec!["City", "Zip"]);
     }
 
     #[test]

@@ -46,9 +46,6 @@ pub struct TypeRegistry {
     types: Vec<SemanticType>,
 }
 
-/// Default score threshold below which no type is proposed.
-pub const DEFAULT_RECOGNITION_THRESHOLD: f64 = 0.35;
-
 impl TypeRegistry {
     /// An empty registry (no built-ins).
     pub fn empty() -> Self {

@@ -356,13 +356,6 @@ impl<'d> Request<'d> {
         Ok(n as usize)
     }
 
-    /// A required number parameter.
-    pub fn f64_param(&self, key: &str) -> Result<f64, JsonError> {
-        self.required(key)?
-            .as_f64()
-            .ok_or_else(|| JsonError::new(format!("{key:?} must be a number")))
-    }
-
     /// A required array-of-strings parameter. The strings borrow the
     /// request line; only the spine vector is allocated.
     pub fn strings_param(&self, key: &str) -> Result<Vec<&'d str>, JsonError> {
@@ -542,10 +535,8 @@ mod tests {
         assert_eq!(req.str_param("n").unwrap_err().to_string(), "json error: \"n\" must be a string");
         assert_eq!(req.usize_param("s").unwrap_err().to_string(), "json error: \"s\" must be a number");
         assert_eq!(req.usize_param("n").unwrap_err().to_string(), "json error: \"n\" must be a non-negative integer");
-        assert_eq!(req.f64_param("s").unwrap_err().to_string(), "json error: \"s\" must be a number");
         assert_eq!(req.strings_param("b").unwrap_err().to_string(), "json error: \"b\" must be an array");
         assert_eq!(req.strings_param("a").unwrap_err().to_string(), "json error: \"a\" must hold strings");
-        assert_eq!(req.f64_param("n").unwrap(), 1.5);
         assert_eq!(req.usize_param("a").unwrap_err().to_string(), "json error: \"a\" must be a number");
     }
 

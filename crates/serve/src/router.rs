@@ -24,11 +24,17 @@
 //!   time must not race again (and possibly differently) at replay.
 //!
 //! The snapshot payload is the session's *replay checkpoint*: the full
-//! journaled history as a JSON array of request lines. That makes
+//! journaled history, each request line followed by `'\n'`
+//! (`logged_line` writes canonical JSON, which escapes every newline
+//! inside a string, so a line never contains a raw one). The journal
+//! keeps its history in exactly that form and the store frames it like
+//! any WAL record, so a checkpoint is written verbatim and split back
+//! into lines on recovery — never encoded or parsed as JSON. That makes
 //! snapshot+tail recovery and live migration the same operation —
 //! [`Router::migrate_session`] drains the session (its per-session
 //! journal lock serializes every request), checkpoints, replays the
-//! checkpoint on the target shard, and repoints the ring override.
+//! checkpoint's lines on the target shard, and repoints the ring
+//! override.
 //!
 //! Lock order: the per-session journal lock is taken *before* the
 //! shard executes, and held across execute → journal append → fsync.
@@ -53,8 +59,6 @@ use std::sync::Arc;
 pub struct RouterConfig {
     /// In-process serve shards.
     pub shards: usize,
-    /// Ring vnodes per shard (more = smoother balance).
-    pub vnodes: usize,
     /// Per-shard server sizing.
     pub server: ServerConfig,
     /// Root directory for session stores; `None` = ephemeral (no
@@ -68,11 +72,6 @@ pub struct RouterConfig {
     /// crash); larger values trade the tail of un-synced acks for
     /// fewer fsyncs.
     pub sync_every: u64,
-    /// Snapshot + compact once this many bytes have been synced to a
-    /// session's WAL since its last checkpoint — the record-size-blind
-    /// bound on log growth (`snapshot_every` alone lets huge records
-    /// grow the log without limit).
-    pub max_wal_bytes: u64,
     /// Filesystem every store I/O goes through: [`Fs::real`] in
     /// production, a seeded [`copycat_store::SimFs`] in fault tests.
     pub fs: Fs,
@@ -82,12 +81,10 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             shards: 2,
-            vnodes: 16,
             server: ServerConfig::default(),
             store_root: None,
             snapshot_every: 64,
             sync_every: 1,
-            max_wal_bytes: 1 << 20,
             fs: Fs::real(),
         }
     }
@@ -105,12 +102,22 @@ impl RouterConfig {
     }
 }
 
+/// Ring vnodes per shard (more = smoother balance).
+const VNODES: usize = 16;
+
+/// Snapshot + compact once this many bytes have been synced to a
+/// session's WAL since its last checkpoint — the record-size-blind
+/// bound on log growth (`snapshot_every` alone lets huge records grow
+/// the log without limit).
+const MAX_WAL_BYTES: u64 = 1 << 20;
+
 /// One session's durability state, guarded as a unit by its own mutex:
 /// holding it serializes execute → append → sync for that session.
 struct SessionJournal {
-    /// Every journaled request line since session creation — the
-    /// replay checkpoint. Snapshot payloads serialize this verbatim.
-    history: Vec<String>,
+    /// Every journaled request line since session creation, each
+    /// followed by `'\n'` — the replay checkpoint, and verbatim the
+    /// snapshot payload.
+    lines: String,
     /// The on-disk WAL + snapshot pair (`None` on ephemeral routers).
     store: Option<SessionStore>,
     /// Journaled records not yet fsynced (group commit).
@@ -141,14 +148,6 @@ pub struct Router {
     config: RouterConfig,
     migrations: AtomicU64,
     replayed_records: AtomicU64,
-    recovered_sessions: AtomicU64,
-    torn_bytes: AtomicU64,
-    /// Interior WAL records quarantined across all recoveries.
-    quarantined_records: AtomicU64,
-    /// Interior WAL bytes quarantined across all recoveries.
-    quarantined_bytes: AtomicU64,
-    /// Snapshot generations skipped as corrupt across all recoveries.
-    generations_skipped: AtomicU64,
     /// Sessions whose recovery failed outright (state left on disk,
     /// session not resumed).
     recovery_failures: AtomicU64,
@@ -159,7 +158,7 @@ pub struct Router {
     /// growing until one succeeds).
     snapshot_failures: AtomicU64,
     /// Per-session recovery reports from the last [`Router::recover`]
-    /// (session name → typed loss accounting).
+    /// (session name → typed loss accounting); `stats()` totals them.
     recovery_reports: Mutex<Vec<(String, RecoveryReport)>>,
 }
 
@@ -169,9 +168,9 @@ fn hash64(s: &str) -> u64 {
     h.finish()
 }
 
-fn build_ring(shards: usize, vnodes: usize) -> Vec<(u64, usize)> {
+fn build_ring(shards: usize) -> Vec<(u64, usize)> {
     let mut ring: Vec<(u64, usize)> = (0..shards)
-        .flat_map(|s| (0..vnodes.max(1)).map(move |v| (hash64(&format!("shard-{s}/vnode-{v}")), s)))
+        .flat_map(|s| (0..VNODES).map(move |v| (hash64(&format!("shard-{s}/vnode-{v}")), s)))
         .collect();
     ring.sort_unstable();
     ring
@@ -204,20 +203,9 @@ fn logged_line(req: &Request) -> String {
     out
 }
 
-/// The snapshot payload: the journaled history as a JSON string array.
-fn checkpoint_payload(history: &[String]) -> String {
-    Json::Arr(history.iter().map(|l| Json::str(l.as_str())).collect()).to_string()
-}
-
-fn parse_checkpoint(payload: &str) -> Vec<String> {
-    Json::parse(payload)
-        .ok()
-        .and_then(|j| {
-            j.as_array().map(|items| {
-                items.iter().filter_map(|v| v.as_str().map(str::to_string)).collect()
-            })
-        })
-        .unwrap_or_default()
+/// The journaled lines a checkpoint holds, in journal order.
+fn checkpoint_lines(checkpoint: &str) -> impl Iterator<Item = &str> {
+    checkpoint.split_terminator('\n')
 }
 
 /// On-disk directory for one session: a sanitized prefix for humans
@@ -244,7 +232,7 @@ impl Router {
         let shards = (0..config.shards.max(1))
             .map(|_| Server::new(config.server.clone()))
             .collect::<Vec<_>>();
-        let ring = build_ring(shards.len(), config.vnodes);
+        let ring = build_ring(shards.len());
         Router {
             shards,
             ring,
@@ -253,11 +241,6 @@ impl Router {
             config,
             migrations: AtomicU64::new(0),
             replayed_records: AtomicU64::new(0),
-            recovered_sessions: AtomicU64::new(0),
-            torn_bytes: AtomicU64::new(0),
-            quarantined_records: AtomicU64::new(0),
-            quarantined_bytes: AtomicU64::new(0),
-            generations_skipped: AtomicU64::new(0),
             recovery_failures: AtomicU64::new(0),
             sync_failures: AtomicU64::new(0),
             snapshot_failures: AtomicU64::new(0),
@@ -270,8 +253,9 @@ impl Router {
     /// generation, replay it plus the WAL tail through the owning
     /// shard, and resume with the store positioned to keep appending.
     /// Torn tails, quarantined interior records, and skipped snapshot
-    /// generations are counted (and surfaced per-session via
-    /// [`recovery_reports`](Router::recovery_reports)), never fatal. A
+    /// generations are recorded per session (see
+    /// [`recovery_reports`](Router::recovery_reports); `stats()` totals
+    /// them), never fatal. A
     /// session whose recovery fails outright is skipped — its state
     /// stays on disk for inspection — and counted; one rotten tenant
     /// must not take the router down.
@@ -312,39 +296,26 @@ impl Router {
                     continue;
                 }
             };
-            let mut history: Vec<String> =
-                recovery.snapshot.as_deref().map(parse_checkpoint).unwrap_or_default();
-            history.extend(recovery.tail.iter().cloned());
-            let report = recovery.report;
-            // relaxed: monotone recovery counters, read only by stats()
-            router.torn_bytes.fetch_add(report.torn_tail_bytes, Ordering::Relaxed);
-            router
-                .quarantined_records
-                // relaxed: monotone recovery counter, stats() only
-                .fetch_add(report.quarantined.len() as u64, Ordering::Relaxed);
-            router
-                .quarantined_bytes
-                // relaxed: monotone recovery counter, stats() only
-                .fetch_add(report.quarantined_bytes, Ordering::Relaxed);
-            router
-                .generations_skipped
-                // relaxed: monotone recovery counter, stats() only
-                .fetch_add(report.generations_skipped, Ordering::Relaxed);
+            let mut lines = recovery.snapshot.unwrap_or_default();
+            for line in &recovery.tail {
+                lines.push_str(line);
+                lines.push('\n');
+            }
             let shard = router.ring_shard(&name);
-            for line in &history {
+            let mut replayed = 0u64;
+            for line in checkpoint_lines(&lines) {
                 let _ = router.shards[shard].handle_line(line);
+                replayed += 1;
             }
             router
                 .replayed_records
                 // relaxed: monotone recovery counter, stats() only
-                .fetch_add(history.len() as u64, Ordering::Relaxed);
-            // relaxed: monotone recovery counter, stats() only
-            router.recovered_sessions.fetch_add(1, Ordering::Relaxed);
-            router.recovery_reports.lock().push((name.clone(), report));
+                .fetch_add(replayed, Ordering::Relaxed);
+            router.recovery_reports.lock().push((name.clone(), recovery.report));
             router.sessions.lock().insert(
                 name,
                 Arc::new(Mutex::new(SessionJournal {
-                    history,
+                    lines,
                     store: Some(store),
                     pending_sync: 0,
                 })),
@@ -365,7 +336,7 @@ impl Router {
     /// acked).
     pub fn journal_history(&self, name: &str) -> Option<Vec<String>> {
         let entry = { self.sessions.lock().get(name).map(Arc::clone) };
-        entry.map(|e| e.lock().history.clone())
+        entry.map(|e| checkpoint_lines(&e.lock().lines).map(str::to_string).collect())
     }
 
     /// The shards themselves (test/bench introspection).
@@ -395,7 +366,7 @@ impl Router {
         let mut map = self.sessions.lock();
         Arc::clone(map.entry(name.to_string()).or_insert_with(|| {
             Arc::new(Mutex::new(SessionJournal {
-                history: Vec::new(),
+                lines: String::new(),
                 store: None,
                 pending_sync: 0,
             }))
@@ -455,7 +426,7 @@ impl Router {
                 if let Some(root) = &self.config.store_root {
                     let _ = SessionStore::destroy(&self.config.fs, &session_dir(root, name));
                 }
-                j.history.clear();
+                j.lines.clear();
                 j.store = None;
                 self.sessions.lock().remove(name);
                 self.placed.lock().remove(name);
@@ -464,7 +435,8 @@ impl Router {
         }
         if req.op.mutates() && outcome != Outcome::Refused {
             let logged = logged_line(req);
-            j.history.push(logged.clone());
+            j.lines.push_str(&logged);
+            j.lines.push('\n');
             if let Some(root) = self.config.store_root.clone() {
                 self.journal_durably(name, &root, &mut j, &logged);
             }
@@ -513,9 +485,9 @@ impl Router {
             }
         }
         if store.records_since_snapshot() >= self.config.snapshot_every.max(1)
-            || store.wal_bytes_since_snapshot() >= self.config.max_wal_bytes.max(1)
+            || store.wal_bytes_since_snapshot() >= MAX_WAL_BYTES
         {
-            if store.snapshot(&checkpoint_payload(&j.history)).is_ok() {
+            if store.snapshot(&j.lines).is_ok() {
                 j.pending_sync = 0;
             } else {
                 // The WAL keeps every record; the next journaled
@@ -542,36 +514,33 @@ impl Router {
             return Err(format!("no shard {to} (router has {})", self.shards.len()));
         }
         let journal = self.journal_entry(name);
-        let mut j = journal.lock();
+        let mut guard = journal.lock();
+        let j = &mut *guard;
         let from = self.shard_of(name);
-        if j.history.is_empty() {
+        if j.lines.is_empty() {
             return Err(format!("no journaled session named {name:?}"));
         }
         if from == to {
             return Ok(MigrationReport { from, to, replayed: 0 });
         }
-        let payload = checkpoint_payload(&j.history);
         if let Some(store) = j.store.as_mut() {
             store
-                .snapshot(&payload)
+                .snapshot(&j.lines)
                 .map_err(|e| format!("checkpoint failed: {e}"))?;
             j.pending_sync = 0;
         }
-        for line in &j.history {
+        let mut replayed = 0;
+        for line in checkpoint_lines(&j.lines) {
             let _ = self.shards[to].handle_line(line); // lint:allow(lock-order) false re-acquire from the Router::handle_line name merge; shards never lock router journals
+            replayed += 1;
         }
-        // Vacate the source copy. Direct shard call: migration is an
+        // Vacate the source copy. Direct registry call: migration is an
         // administrative move, not a journaled protocol event.
-        let close = Json::obj(vec![
-            ("op".into(), Json::str("close_session")),
-            ("session".into(), Json::str(name)),
-        ])
-        .to_string();
-        let _ = self.shards[from].handle_line(&close); // lint:allow(lock-order) same Router::handle_line name merge as the replay loop above
+        let _ = self.shards[from].registry().remove(name);
         self.placed.lock().insert(name.to_string(), to);
         // relaxed: monotone stat; no reader reconciles it against state
         self.migrations.fetch_add(1, Ordering::Relaxed);
-        Ok(MigrationReport { from, to, replayed: j.history.len() })
+        Ok(MigrationReport { from, to, replayed })
     }
 
     /// Merged router-level stats: placement, durability accounting,
@@ -597,6 +566,35 @@ impl Router {
                 }
             }
         }
+        // Recovery totals are sums over the per-session reports.
+        let recovery: [(&str, u64); 5] = {
+            let reports = self.recovery_reports.lock();
+            let total = |f: fn(&RecoveryReport) -> u64| reports.iter().map(|(_, r)| f(r)).sum();
+            [
+                ("recovered_sessions", reports.len() as u64),
+                ("torn_bytes", total(|r| r.torn_tail_bytes)),
+                ("quarantined_records", total(|r| r.quarantined.len() as u64)),
+                ("quarantined_bytes", total(|r| r.quarantined_bytes)),
+                ("generations_skipped", total(|r| r.generations_skipped)),
+            ]
+        };
+        // relaxed: stats snapshots of monotone counters
+        let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut durability: Vec<(&str, u64)> = vec![
+            ("stores", with_store as u64),
+            ("appends", durable.appends),
+            ("snapshots", durable.snapshots),
+            ("syncs", durable.sync.syncs),
+            ("records_synced", durable.sync.records_synced),
+            ("bytes_synced", durable.sync.bytes_synced),
+            ("replayed_records", counter(&self.replayed_records)),
+        ];
+        durability.extend(recovery);
+        durability.extend([
+            ("recovery_failures", counter(&self.recovery_failures)),
+            ("sync_failures", counter(&self.sync_failures)),
+            ("snapshot_failures", counter(&self.snapshot_failures)),
+        ]);
         let shard_stats: Vec<Json> = self
             .shards
             .iter()
@@ -618,74 +616,17 @@ impl Router {
                         "overrides".into(),
                         Json::Num(self.placed.lock().len() as f64),
                     ),
-                    (
-                        "migrations".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.migrations.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("migrations".into(), Json::Num(counter(&self.migrations) as f64)),
                 ]),
             ),
             (
                 "durability".into(),
-                Json::obj(vec![
-                    ("stores".into(), Json::Num(with_store as f64)),
-                    ("appends".into(), Json::Num(durable.appends as f64)),
-                    ("snapshots".into(), Json::Num(durable.snapshots as f64)),
-                    ("syncs".into(), Json::Num(durable.sync.syncs as f64)),
-                    (
-                        "records_synced".into(),
-                        Json::Num(durable.sync.records_synced as f64),
-                    ),
-                    (
-                        "bytes_synced".into(),
-                        Json::Num(durable.sync.bytes_synced as f64),
-                    ),
-                    (
-                        "replayed_records".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.replayed_records.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "recovered_sessions".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.recovered_sessions.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "torn_bytes".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.torn_bytes.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "quarantined_records".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.quarantined_records.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "quarantined_bytes".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.quarantined_bytes.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "generations_skipped".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.generations_skipped.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "recovery_failures".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.recovery_failures.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "sync_failures".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.sync_failures.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "snapshot_failures".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.snapshot_failures.load(Ordering::Relaxed) as f64),
-                    ),
-                ]),
+                Json::obj(
+                    durability
+                        .into_iter()
+                        .map(|(k, v)| (k.to_string(), Json::Num(v as f64)))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -778,12 +719,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_payload_round_trips() {
-        let history = vec![
-            r#"{"op":"create_session","session":"s"}"#.to_string(),
-            r#"{"op":"paste","session":"s","values":["a","b"]}"#.to_string(),
+    fn checkpoint_lines_split_the_journal_back_into_lines() {
+        let lines = [
+            r#"{"op":"create_session","session":"s"}"#,
+            r#"{"op":"paste","session":"s","values":["a\nb","c"]}"#,
         ];
-        assert_eq!(parse_checkpoint(&checkpoint_payload(&history)), history);
-        assert_eq!(parse_checkpoint("not json"), Vec::<String>::new());
+        let checkpoint: String = lines.iter().flat_map(|l| [*l, "\n"]).collect();
+        assert_eq!(checkpoint_lines(&checkpoint).collect::<Vec<_>>(), lines);
+        assert_eq!(checkpoint_lines("").count(), 0);
     }
 }

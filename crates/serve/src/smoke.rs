@@ -446,23 +446,86 @@ pub struct RecoverSummary {
     pub probes: usize,
 }
 
+/// What one [`crash_and_compare`] run observed.
+struct Crashed {
+    /// Each traffic line's response, in order.
+    responses: Vec<String>,
+    /// Effectful requests journaled before the crash.
+    journaled: u64,
+    /// The recovered router's `durability` stats.
+    durability: Json,
+}
+
+/// The kill-and-recover core both durability smokes share: drive
+/// `traffic` through a durable router in a scratch directory (every
+/// response must be `ok:true`), **crash it** (drop without shutdown),
+/// recover from disk, replay `traffic` on a never-crashed control, and
+/// diff every probe's answers byte for byte. Fails if recovery
+/// replayed nothing. The scratch directory is removed on every path.
+fn crash_and_compare(
+    tag: &str,
+    snapshot_every: u64,
+    traffic: &[String],
+    probes: &[String],
+) -> Result<Crashed, String> {
+    use crate::router::{Router, RouterConfig};
+    let fs = Fs::real();
+    let root = std::env::temp_dir().join(format!("copycat-{tag}-smoke-{}", std::process::id()));
+    let _ = fs.remove_dir_all(&root);
+    let config = || RouterConfig {
+        shards: 2,
+        snapshot_every,
+        sync_every: 1,
+        store_root: Some(root.clone()),
+        ..RouterConfig::default()
+    };
+    let run = || {
+        let durable = Router::new(config());
+        let mut responses = Vec::with_capacity(traffic.len());
+        for line in traffic {
+            let resp = durable.handle_line(line);
+            if !resp.contains("\"ok\":true") {
+                return Err(format!("traffic refused before crash: {line} -> {resp}"));
+            }
+            responses.push(resp);
+        }
+        let journaled = durable.stats()["durability"]["appends"].as_f64().unwrap_or(0.0) as u64;
+        drop(durable); // crash: no shutdown, no flush
+
+        let recovered = Router::recover(config()).map_err(|e| format!("recovery failed: {e}"))?;
+        let durability = recovered.stats()["durability"].clone();
+        let control = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() });
+        for line in traffic {
+            control.handle_line(line);
+        }
+        for probe in probes {
+            let got = recovered.handle_line(probe);
+            let want = control.handle_line(probe);
+            if got != want {
+                return Err(format!(
+                    "recovered session diverged on {probe}:\n  recovered: {got}\n  control:   {want}"
+                ));
+            }
+        }
+        recovered.shutdown();
+        control.shutdown();
+        Ok(Crashed { responses, journaled, durability })
+    };
+    let result = run();
+    let _ = fs.remove_dir_all(&root);
+    let crashed = result?;
+    if crashed.durability["replayed_records"].as_f64().unwrap_or(0.0) == 0.0 {
+        return Err("recovery replayed nothing; the WAL never made it to disk".to_string());
+    }
+    Ok(crashed)
+}
+
 /// The kill-and-recover smoke: start a durable router in a scratch
 /// directory, inject traffic, **crash it** (drop without shutdown),
 /// recover from disk, and diff the recovered session's answers against
 /// a never-crashed control — byte for byte. The verify-script hook for
 /// the durability layer (`copycat-serve recover`).
 pub fn run_recover_default() -> Result<RecoverSummary, String> {
-    use crate::router::{Router, RouterConfig};
-    let fs = Fs::real();
-    let root = std::env::temp_dir().join(format!("copycat-recover-smoke-{}", std::process::id()));
-    let _ = fs.remove_dir_all(&root);
-    let config = || RouterConfig {
-        shards: 2,
-        snapshot_every: 4, // force snapshot + WAL-tail recovery
-        sync_every: 1,
-        store_root: Some(root.clone()),
-        ..RouterConfig::default()
-    };
     let s = "\"session\":\"smoke\"";
     let mut lines = vec![
         format!("{{\"id\":1,\"op\":\"create_session\",{s}}}"),
@@ -489,53 +552,17 @@ pub fn run_recover_default() -> Result<RecoverSummary, String> {
         format!("{{\"id\":92,\"op\":\"session_stats\",{s}}}"),
         format!("{{\"id\":93,\"op\":\"save_session\",{s}}}"),
     ];
-
-    let durable = Router::new(config());
-    for line in &lines {
-        let resp = durable.handle_line(line);
-        if !resp.contains("\"ok\":true") {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!("traffic refused before crash: {line} -> {resp}"));
-        }
-    }
-    let journaled = durable.stats()["durability"]["appends"].as_f64().unwrap_or(0.0) as u64;
-    drop(durable); // crash: no shutdown, no flush
-
-    let recovered =
-        Router::recover(config()).map_err(|e| format!("recovery failed: {e}"))?;
-    let stats = recovered.stats();
-    let durability = &stats["durability"];
-    let field = |k: &str| durability[k].as_f64().unwrap_or(0.0) as u64;
-    let replayed = field("replayed_records");
-    let summary = RecoverSummary {
-        journaled,
-        replayed,
+    // snapshot_every 4 forces snapshot + WAL-tail recovery.
+    let crashed = crash_and_compare("recover", 4, &lines, &probes)?;
+    let field = |k: &str| crashed.durability[k].as_f64().unwrap_or(0.0) as u64;
+    Ok(RecoverSummary {
+        journaled: crashed.journaled,
+        replayed: field("replayed_records"),
         torn_bytes: field("torn_bytes"),
         quarantined: field("quarantined_records"),
         generations_skipped: field("generations_skipped"),
         probes: probes.len(),
-    };
-    let control = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() });
-    for line in &lines {
-        control.handle_line(line);
-    }
-    for probe in &probes {
-        let got = recovered.handle_line(probe);
-        let want = control.handle_line(probe);
-        if got != want {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!(
-                "recovered session diverged on {probe}:\n  recovered: {got}\n  control:   {want}"
-            ));
-        }
-    }
-    recovered.shutdown();
-    control.shutdown();
-    let _ = fs.remove_dir_all(&root);
-    if replayed == 0 {
-        return Err("recovery replayed nothing; the WAL never made it to disk".to_string());
-    }
-    Ok(summary)
+    })
 }
 
 /// Summary of the transform kill-and-recover smoke.
@@ -560,18 +587,6 @@ pub struct TransformSummary {
 /// control. The verify-script hook for transform synthesis
 /// (`copycat-serve transforms`).
 pub fn run_transforms_default() -> Result<TransformSummary, String> {
-    use crate::router::{Router, RouterConfig};
-    let fs = Fs::real();
-    let root =
-        std::env::temp_dir().join(format!("copycat-transform-smoke-{}", std::process::id()));
-    let _ = fs.remove_dir_all(&root);
-    let config = || RouterConfig {
-        shards: 2,
-        snapshot_every: 6,
-        sync_every: 1,
-        store_root: Some(root.clone()),
-        ..RouterConfig::default()
-    };
     let s = "\"session\":\"transforms\"";
     let lines = vec![
         format!("{{\"id\":1,\"op\":\"create_session\",{s}}}"),
@@ -605,6 +620,11 @@ pub fn run_transforms_default() -> Result<TransformSummary, String> {
              \"examples\":[[\"(555) 010-1000\",\"555-010-1000\"],\
              [\"(555) 010-1001\",\"555-010-1001\"]]}}"
         ),
+        // The learned edge must surface as the top-ranked column
+        // suggestion, and its derive-then-join plan must execute on
+        // acceptance.
+        format!("{{\"id\":13,\"op\":\"column_suggestions\",{s}}}"),
+        format!("{{\"id\":14,\"op\":\"accept_column\",{s},\"index\":0}}"),
     ];
     let probes = [
         format!("{{\"id\":90,\"op\":\"list_transforms\",{s}}}"),
@@ -612,62 +632,20 @@ pub fn run_transforms_default() -> Result<TransformSummary, String> {
         format!("{{\"id\":92,\"op\":\"export\",{s},\"format\":\"csv\"}}"),
         format!("{{\"id\":93,\"op\":\"session_stats\",{s}}}"),
     ];
-
-    let durable = Router::new(config());
-    let mut program = String::new();
-    for line in &lines {
-        let resp = durable.handle_line(line);
-        if !resp.contains("\"ok\":true") {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!("traffic refused before crash: {line} -> {resp}"));
-        }
-        if line.contains("learn_transform") {
-            let parsed = Json::parse(&resp).expect("responses parse");
-            program = parsed["result"]["program"].as_str().unwrap_or("").to_string();
-        }
+    let crashed = crash_and_compare("transform", 6, &lines, &probes)?;
+    // Responses line up with the traffic, whose ids count from 1.
+    let response = |id: usize| crashed.responses[id - 1].as_str();
+    if !response(13).contains("T:Contacts+Directory") {
+        return Err(format!("transform edge missing from suggestions: {}", response(13)));
     }
-    // The learned edge must surface as the top-ranked column suggestion
-    // and its derive-then-join plan must execute on acceptance.
-    let suggest =
-        durable.handle_line(&format!("{{\"id\":13,\"op\":\"column_suggestions\",{s}}}"));
-    if !suggest.contains("\"ok\":true") || !suggest.contains("T:Contacts+Directory") {
-        let _ = fs.remove_dir_all(&root);
-        return Err(format!("transform edge missing from suggestions: {suggest}"));
-    }
-    let accept = durable.handle_line(&format!("{{\"id\":14,\"op\":\"accept_column\",{s},\"index\":0}}"));
-    if !accept.contains("\"ok\":true") {
-        let _ = fs.remove_dir_all(&root);
-        return Err(format!("accepting the transform suggestion failed: {accept}"));
-    }
-    let journaled = durable.stats()["durability"]["appends"].as_f64().unwrap_or(0.0) as u64;
-    drop(durable); // crash: no shutdown, no flush
-
-    let recovered = Router::recover(config()).map_err(|e| format!("recovery failed: {e}"))?;
-    let replayed =
-        recovered.stats()["durability"]["replayed_records"].as_f64().unwrap_or(0.0) as u64;
-    let control = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() });
-    for line in &lines {
-        control.handle_line(line);
-    }
-    control.handle_line(&format!("{{\"id\":13,\"op\":\"column_suggestions\",{s}}}"));
-    control.handle_line(&format!("{{\"id\":14,\"op\":\"accept_column\",{s},\"index\":0}}"));
-    for probe in &probes {
-        let got = recovered.handle_line(probe);
-        let want = control.handle_line(probe);
-        if got != want {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!(
-                "recovered session diverged on {probe}:\n  recovered: {got}\n  control:   {want}"
-            ));
-        }
-    }
-    recovered.shutdown();
-    control.shutdown();
-    let _ = fs.remove_dir_all(&root);
-    if replayed == 0 {
-        return Err("recovery replayed nothing; the WAL never made it to disk".to_string());
-    }
-    Ok(TransformSummary { program, journaled, replayed, probes: probes.len() })
+    let parsed =
+        Json::parse(response(12)).map_err(|e| format!("learn_transform answer: {e}"))?;
+    Ok(TransformSummary {
+        program: parsed["result"]["program"].as_str().unwrap_or("").to_string(),
+        journaled: crashed.journaled,
+        replayed: crashed.durability["replayed_records"].as_f64().unwrap_or(0.0) as u64,
+        probes: probes.len(),
+    })
 }
 
 /// Summary of a [`run_herd`] sweep: many shared-world sessions on one

@@ -243,6 +243,58 @@ fn kill_and_recover_is_byte_identical_with_snapshots() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Values holding newlines (escaped `\n` on the wire, a raw newline
+/// once parsed) journal as one line each: the checkpoint splits back
+/// into exactly the journaled lines, and the recovered session answers
+/// byte-identically.
+#[test]
+fn newline_bearing_values_survive_checkpoint_and_crash() {
+    let root = temp_root("newlines");
+    let esc = |v: &str| Json::str(v).to_string();
+    let cells = ["Shelter\nNorth", "12 Oak St\r\nUnit 4", "back\\nslash", "Tab\tCity"];
+    let row = cells.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",");
+    let s = "\"session\":\"nl\"";
+    let lines = vec![
+        format!("{{\"id\":1,\"op\":\"create_session\",{s}}}"),
+        format!(
+            "{{\"id\":2,\"op\":\"open_doc\",{s},\"name\":\"Multi\\nLine\",\
+             \"headers\":[\"A\",\"B\",\"C\",\"D\"],\"rows\":[[{row}],[{row}]]}}"
+        ),
+        format!("{{\"id\":3,\"op\":\"paste\",{s},\"doc\":0,\"values\":[{row}]}}"),
+        format!("{{\"id\":4,\"op\":\"accept_rows\",{s}}}"),
+        format!("{{\"id\":5,\"op\":\"name_column\",{s},\"col\":0,\"name\":\"Two\\nLines\"}}"),
+    ];
+    let config = || RouterConfig {
+        shards: 2,
+        server: small_server(),
+        store_root: Some(root.clone()),
+        snapshot_every: 2,
+        sync_every: 1,
+        ..RouterConfig::default()
+    };
+    let durable = Router::new(config());
+    for resp in drive(&durable, &lines) {
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+    }
+    let journal = durable.journal_history("nl").expect("journaled");
+    assert_eq!(journal.len(), lines.len());
+    assert!(journal.iter().all(|l| !l.contains('\n')), "{journal:?}");
+    assert!(durable.stats()["durability"]["snapshots"].as_f64().unwrap_or(0.0) >= 2.0);
+    drop(durable); // crash: no shutdown, no final flush
+
+    let recovered = Router::recover(config()).expect("recovery");
+    assert_eq!(recovered.journal_history("nl"), Some(journal));
+    let report = &recovered.recovery_reports()[0].1;
+    assert!(report.lossless(), "{report:?}");
+    assert!(report.snapshot_generation > 0, "recovered through a checkpoint: {report:?}");
+    let control = Router::new(RouterConfig { shards: 2, server: small_server(), ..RouterConfig::default() });
+    drive(&control, &lines);
+    assert_eq!(drive(&recovered, &probes("nl")), drive(&control, &probes("nl")));
+    recovered.shutdown();
+    control.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The tentpole property: for a *random cut point k*, a router killed
 /// after k acked requests recovers to exactly the state of a control
 /// that executed those same k requests — for arbitrary script sizes

@@ -6,14 +6,16 @@
 //! rebuilding a session is re-running them. This crate owns the disk
 //! half of that story:
 //!
-//! - [`wal`] — a per-session append-only log of request payloads.
-//!   Records are LEB128 length-prefixed and CRC-32 checksummed
-//!   ([`copycat_util::varint`], [`copycat_util::checksum`]), appended
+//! - [`wal`] — a per-session append-only log of request payloads, and
+//!   the one record format every durable byte uses: a LEB128 seq and
+//!   length, then a CRC-32 over seq and payload
+//!   ([`copycat_util::varint`], [`copycat_util::checksum`]). Appends go
 //!   through a group-commit buffer so one `fsync` can cover a batch.
 //!   Reading tolerates a torn tail: the machine dying mid-write costs
 //!   at most the unacknowledged suffix.
-//! - [`snapshot`] — an atomically-replaced (`tmp` + rename) checkpoint
-//!   of the session, written so the WAL can be truncated instead of
+//! - [`snapshot`] — generational checkpoints of the session, each one
+//!   record in the WAL's framing installed by `tmp` + fsync + rename +
+//!   directory fsync, written so the WAL can be compacted instead of
 //!   growing without bound.
 //! - [`store`] — [`store::SessionStore`], the pairing of the two: an
 //!   append/sync/snapshot API on the write side and a
@@ -23,7 +25,7 @@
 //!   snapshot already covers).
 //!
 //! The crate is payload-agnostic: callers log UTF-8 lines (protocol
-//! requests) and snapshot opaque strings. What those strings mean —
+//! requests) and snapshot opaque strings; it never parses either. What those strings mean —
 //! and the proof that replaying them reproduces the pre-crash session
 //! byte-for-byte — lives in copycat-serve's durable layer and its
 //! kill-and-recover property test.

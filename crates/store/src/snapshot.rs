@@ -1,21 +1,31 @@
 //! Generational session snapshots.
 //!
-//! A snapshot is one JSON file inside the session directory, named by
-//! its generation — `snapshot-00000007.json` — holding:
+//! A snapshot is one file inside the session directory, named by its
+//! generation — `snapshot-00000007.json` — holding exactly one record
+//! in the WAL's framing ([`crate::wal`]):
 //!
-//! ```json
-//! {"version": 1, "seq": 42, "crc": 123456789, "payload": "…"}
+//! ```text
+//! [seq: varint u64] [len: varint u64] [crc: 4 bytes LE] [payload: len bytes]
 //! ```
 //!
 //! `seq` is the last WAL sequence number the payload covers — recovery
 //! replays only WAL records *after* it, which is what makes a crash
 //! between "snapshot renamed into place" and "WAL compacted" harmless.
-//! `crc` is the CRC-32 of the payload bytes, so a half-written or
-//! bit-rotted snapshot is detected rather than replayed.
+//! The CRC-32 covers `seq` and the payload together, and the record
+//! must span the whole file, so a flipped bit anywhere — header or
+//! body — is detected rather than replayed or trusted as a position.
+//! The header is at most 24 bytes on top of the payload.
 //!
-//! Each install is atomic: write `snapshot.tmp`, fsync it, then
-//! `rename` into the generation's name (POSIX rename atomicity), then
-//! fsync the directory so the rename survives a power cut. At every
+//! The name keeps its historical `.json` suffix on purpose: a
+//! generation left by a build that wrote JSON envelopes is still
+//! listed, fails to decode, and is skipped and reported like any other
+//! corrupt generation instead of being ignored while the WAL it
+//! compacted is replayed as if it were the whole history.
+//!
+//! Each install is atomic: the framed bytes go to `snapshot.tmp`, are
+//! fsynced, renamed into the generation's name (POSIX rename
+//! atomicity), and the directory is fsynced so the rename survives a
+//! power cut — the same install step log rewrites use. At every
 //! instant the directory holds only complete snapshot files.
 //!
 //! **Why generations instead of one file:** a checksummed single
@@ -29,8 +39,7 @@
 //! means a longer — but complete — replay.
 
 use crate::io::Fs;
-use copycat_util::checksum::crc32;
-use copycat_util::json::{FromJson, Json, JsonError};
+use crate::wal::{decode_record, encode_record, install};
 use std::path::{Path, PathBuf};
 
 /// Snapshot generations retained on disk (newest N).
@@ -39,7 +48,6 @@ pub const KEEP_GENERATIONS: usize = 2;
 pub const TMP_FILE: &str = "snapshot.tmp";
 const PREFIX: &str = "snapshot-";
 const SUFFIX: &str = ".json";
-const VERSION: u64 = 1;
 
 /// A checkpoint: an opaque payload plus the WAL position it covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,33 +83,6 @@ fn parse_generation(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn envelope(snap: &Snapshot) -> Json {
-    Json::obj(vec![
-        ("version".into(), Json::Num(VERSION as f64)),
-        ("seq".into(), Json::Num(snap.seq as f64)),
-        ("crc".into(), Json::Num(f64::from(crc32(snap.payload.as_bytes())))),
-        ("payload".into(), Json::str(snap.payload.clone())),
-    ])
-}
-
-fn open_envelope(j: &Json) -> Result<Snapshot, JsonError> {
-    let version = u64::from_json(j.field("version")?)?;
-    if version != VERSION {
-        return Err(JsonError::new(format!("unknown snapshot version {version}")));
-    }
-    let seq = u64::from_json(j.field("seq")?)?;
-    let stored_crc = u32::from_json(j.field("crc")?)?;
-    let payload = j
-        .field("payload")?
-        .as_str()
-        .ok_or_else(|| JsonError::new("snapshot payload is not a string"))?
-        .to_string();
-    if crc32(payload.as_bytes()) != stored_crc {
-        return Err(JsonError::new("snapshot payload checksum mismatch"));
-    }
-    Ok(Snapshot { seq, payload })
-}
-
 /// Generation numbers present in `dir`, ascending.
 pub fn list_generations(fs: &Fs, dir: &Path) -> std::io::Result<Vec<u64>> {
     let mut gens: Vec<u64> = fs
@@ -113,17 +94,14 @@ pub fn list_generations(fs: &Fs, dir: &Path) -> std::io::Result<Vec<u64>> {
     Ok(gens)
 }
 
-/// Atomically install `snap` as generation `generation`, then prune
-/// generations older than the newest [`KEEP_GENERATIONS`] (prune
-/// failures are tolerated — an extra old file costs space, not
-/// correctness).
-pub fn write(fs: &Fs, dir: &Path, snap: &Snapshot, generation: u64) -> std::io::Result<()> {
-    let tmp = dir.join(TMP_FILE);
-    let dst = dir.join(generation_file(generation));
-    fs.write_sync(&tmp, envelope(snap).to_string().as_bytes())?;
-    fs.rename(&tmp, &dst)?;
-    // Persist the rename: fsync the containing directory.
-    fs.sync_dir(dir)?;
+/// Atomically install `payload`, covering WAL records up to `seq`, as
+/// generation `generation`, then prune generations older than the
+/// newest [`KEEP_GENERATIONS`] (prune failures are tolerated — an extra
+/// old file costs space, not correctness).
+pub fn write(fs: &Fs, dir: &Path, seq: u64, payload: &str, generation: u64) -> std::io::Result<()> {
+    let mut image = Vec::new();
+    encode_record(seq, payload.as_bytes(), &mut image);
+    install(fs, &dir.join(generation_file(generation)), TMP_FILE, &image)?;
     if let Ok(gens) = list_generations(fs, dir) {
         for g in gens.iter().rev().skip(KEEP_GENERATIONS) {
             let _ = fs.remove_file(&dir.join(generation_file(*g)));
@@ -132,24 +110,18 @@ pub fn write(fs: &Fs, dir: &Path, snap: &Snapshot, generation: u64) -> std::io::
     Ok(())
 }
 
-/// Verify one generation file, distinguishing I/O errors from
-/// corruption (corruption is fall-back-able; an I/O error is not).
-fn try_read(fs: &Fs, path: &Path) -> std::io::Result<Result<Snapshot, String>> {
+/// Verify one generation file: `Ok(None)` when it is missing or
+/// corrupt (fall-back-able), `Err` only for an I/O error (not).
+fn try_read(fs: &Fs, path: &Path) -> std::io::Result<Option<Snapshot>> {
     let bytes = match fs.read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(Err("missing".into()));
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let Ok(text) = String::from_utf8(bytes) else {
-        return Ok(Err("not utf-8".into()));
-    };
-    let j = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => return Ok(Err(e.to_string())),
-    };
-    Ok(open_envelope(&j).map_err(|e| e.to_string()))
+    Ok(match decode_record(&bytes) {
+        Some((seq, payload, consumed)) if consumed == bytes.len() => Some(Snapshot { seq, payload }),
+        _ => None,
+    })
 }
 
 /// Load the newest snapshot that verifies, walking generations
@@ -162,12 +134,12 @@ pub fn read_best(fs: &Fs, dir: &Path) -> std::io::Result<ReadOutcome> {
     for g in list_generations(fs, dir)?.into_iter().rev() {
         let path = dir.join(generation_file(g));
         match try_read(fs, &path)? {
-            Ok(snap) => {
+            Some(snap) => {
                 out.snapshot = Some(snap);
                 out.generation = g;
                 break;
             }
-            Err(_) => {
+            None => {
                 out.skipped += 1;
                 out.corrupt.push(path);
             }
@@ -195,12 +167,12 @@ mod tests {
         let (_sim, fs, dir) = sim();
         assert_eq!(read_best(&fs, &dir).unwrap().snapshot, None);
         let first = Snapshot { seq: 7, payload: "[\"line one\"]".into() };
-        write(&fs, &dir, &first, 1).unwrap();
+        write(&fs, &dir, first.seq, &first.payload, 1).unwrap();
         let out = read_best(&fs, &dir).unwrap();
         assert_eq!(out.snapshot, Some(first));
         assert_eq!(out.generation, 1);
         let second = Snapshot { seq: 19, payload: "[\"line one\",\"línea dos\"]".into() };
-        write(&fs, &dir, &second, 2).unwrap();
+        write(&fs, &dir, second.seq, &second.payload, 2).unwrap();
         let out = read_best(&fs, &dir).unwrap();
         assert_eq!(out.snapshot, Some(second));
         assert_eq!(out.generation, 2);
@@ -214,7 +186,7 @@ mod tests {
         let (_sim, fs, dir) = sim();
         for g in 1..=5u64 {
             let snap = Snapshot { seq: g * 10, payload: format!("gen-{g}") };
-            write(&fs, &dir, &snap, g).unwrap();
+            write(&fs, &dir, snap.seq, &snap.payload, g).unwrap();
         }
         assert_eq!(list_generations(&fs, &dir).unwrap(), vec![4, 5]);
     }
@@ -222,8 +194,8 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_previous_generation() {
         let (sim, fs, dir) = sim();
-        write(&fs, &dir, &Snapshot { seq: 10, payload: "older-good".into() }, 1).unwrap();
-        write(&fs, &dir, &Snapshot { seq: 20, payload: "newer-doomed".into() }, 2).unwrap();
+        write(&fs, &dir, 10, "older-good", 1).unwrap();
+        write(&fs, &dir, 20, "newer-doomed", 2).unwrap();
         assert!(sim.corrupt_file(&dir.join(generation_file(2))));
         let out = read_best(&fs, &dir).unwrap();
         assert_eq!(out.snapshot, Some(Snapshot { seq: 10, payload: "older-good".into() }));
@@ -235,8 +207,8 @@ mod tests {
     #[test]
     fn all_generations_corrupt_reports_rather_than_lies() {
         let (sim, fs, dir) = sim();
-        write(&fs, &dir, &Snapshot { seq: 10, payload: "one".into() }, 1).unwrap();
-        write(&fs, &dir, &Snapshot { seq: 20, payload: "two".into() }, 2).unwrap();
+        write(&fs, &dir, 10, "one", 1).unwrap();
+        write(&fs, &dir, 20, "two", 2).unwrap();
         assert!(sim.corrupt_file(&dir.join(generation_file(1))));
         assert!(sim.corrupt_file(&dir.join(generation_file(2))));
         let out = read_best(&fs, &dir).unwrap();
@@ -246,16 +218,46 @@ mod tests {
     }
 
     #[test]
-    fn future_versions_are_refused_not_misread() {
+    fn generation_file_is_payload_plus_at_most_24_header_bytes() {
         let (_sim, fs, dir) = sim();
-        write(&fs, &dir, &Snapshot { seq: 1, payload: "p".into() }, 1).unwrap();
+        for (g, payload) in [(1u64, String::new()), (2, "x".repeat(300)), (3, "y".repeat(70_000))] {
+            let snap = Snapshot { seq: u64::MAX - g, payload };
+            write(&fs, &dir, snap.seq, &snap.payload, g).unwrap();
+            let len = fs.file_len(&dir.join(generation_file(g))).unwrap();
+            let header = len - snap.payload.len() as u64;
+            assert!(header <= 24, "generation {g}: {header} header bytes");
+            assert_eq!(read_best(&fs, &dir).unwrap().snapshot, Some(snap));
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_record_are_corruption() {
+        let (_sim, fs, dir) = sim();
+        write(&fs, &dir, 3, "p", 1).unwrap();
         let path = dir.join(generation_file(1));
-        let bumped = String::from_utf8(fs.read(&path).unwrap())
-            .unwrap()
-            .replace("\"version\":1", "\"version\":2");
-        fs.write(&path, bumped.as_bytes()).unwrap();
+        let mut bytes = fs.read(&path).unwrap();
+        bytes.push(0);
+        fs.write(&path, &bytes).unwrap();
         let out = read_best(&fs, &dir).unwrap();
         assert_eq!(out.snapshot, None);
         assert_eq!(out.skipped, 1);
+    }
+
+    #[test]
+    fn leftover_json_envelope_generation_is_refused_as_corrupt_and_reported() {
+        // The envelope older builds wrote: a JSON object whose `crc`
+        // covered only the payload.
+        let (_sim, fs, dir) = sim();
+        let payload = r#"["a","b"]"#;
+        let crc = copycat_util::checksum::crc32(payload.as_bytes());
+        let envelope =
+            format!(r#"{{"version":1,"seq":2,"crc":{crc},"payload":"[\"a\",\"b\"]"}}"#);
+        let path = dir.join(generation_file(1));
+        fs.write(&path, envelope.as_bytes()).unwrap();
+        let out = read_best(&fs, &dir).unwrap();
+        assert_eq!(out.snapshot, None, "never misread as a checkpoint");
+        assert_eq!(out.generation, 0);
+        assert_eq!(out.skipped, 1);
+        assert_eq!(out.corrupt, vec![path]);
     }
 }

@@ -6,24 +6,26 @@
 //! sequence number and buffers the record,
 //! [`sync`](SessionStore::sync) group-commits the batch, and
 //! [`snapshot`](SessionStore::snapshot) installs the next snapshot
-//! generation and *compacts* the log: every record at or before the
-//! **previous** generation's seq is dropped (write-temp-rename, so a
-//! crash at any cut point leaves a complete log). Keeping one
-//! generation's worth of extra records is what makes snapshot fallback
-//! sound — if the newest generation is corrupt, the previous one plus
-//! the longer retained tail still reconstructs the full session.
+//! generation (one record in the WAL's framing, so the snapshot's seq
+//! is as checksummed as its payload) and *compacts* the log: every
+//! record at or before the **previous** generation's seq is dropped
+//! (write-temp-rename, so a crash at any cut point leaves a complete
+//! log). Keeping one generation's worth of extra records is what makes
+//! snapshot fallback sound — if the newest generation is corrupt, the
+//! previous one plus the longer retained tail still reconstructs the
+//! full session.
 //!
 //! Read path: [`SessionStore::recover`] walks snapshot generations
-//! newest-first (skipping corrupt ones), replays the log with
-//! corruption quarantine, skips records the chosen snapshot already
-//! covers, and reports everything it discarded in a typed
-//! [`RecoveryReport`] — lost interior sequence numbers are *listed*,
+//! newest-first (skipping, and counting, any that fail to decode),
+//! replays the log with corruption quarantine, skips records the chosen
+//! snapshot already covers, and reports everything it discarded in a
+//! typed [`RecoveryReport`] — lost interior sequence numbers are *listed*,
 //! never silently absent. Corrupt snapshot files and WAL garbage are
 //! cleaned out of the directory so the next crash starts from a
 //! verified-good state.
 
 use crate::io::Fs;
-use crate::snapshot::{self, Snapshot};
+use crate::snapshot;
 use crate::wal::{SyncStats, Wal, WAL_FILE};
 use std::path::{Path, PathBuf};
 
@@ -177,12 +179,7 @@ impl SessionStore {
         // seq is the new compaction floor.
         let fallback_floor = self.snapshot_seq;
         let generation = self.generation + 1;
-        snapshot::write(
-            &self.fs,
-            &self.dir,
-            &Snapshot { seq: self.seq, payload: payload.to_string() },
-            generation,
-        )?;
+        snapshot::write(&self.fs, &self.dir, self.seq, payload, generation)?;
         self.generation = generation;
         self.snapshot_seq = self.seq;
         self.snapshots += 1;
@@ -394,6 +391,41 @@ mod tests {
         assert_eq!(r.report.last_seq, 4);
         // The corrupt file was quarantined off the retention ladder.
         assert!(!fs.exists(&dir.join(snapshot::generation_file(2))));
+    }
+
+    /// Every single-bit flip of a snapshot generation — in its seq, its
+    /// length, its checksum or its payload — is detected: the
+    /// generation is skipped and reported, recovery falls back to the
+    /// previous one, and the whole history comes back. No flip yields
+    /// a shifted `seq` or an altered payload that recovery trusts.
+    #[test]
+    fn every_single_bit_flip_of_a_generation_is_detected() {
+        let (_sim, fs, dir) = sim();
+        let mut s = SessionStore::create(&fs, &dir).unwrap();
+        s.append("a");
+        s.append("b");
+        s.snapshot("a\nb").unwrap();
+        s.append("c");
+        s.snapshot("a\nb\nc").unwrap();
+        s.append("d");
+        s.sync().unwrap();
+        drop(s);
+        let newest = dir.join(snapshot::generation_file(2));
+        let pristine = fs.read(&newest).unwrap();
+        for bit in 0..pristine.len() * 8 {
+            let mut flipped = pristine.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            fs.write(&newest, &flipped).unwrap();
+            let (_, r) = SessionStore::recover(&fs, &dir).unwrap();
+            assert_eq!(r.report.generations_skipped, 1, "bit {bit}: flip went undetected");
+            assert!(!r.report.lossless(), "bit {bit}");
+            assert_eq!(r.report.snapshot_generation, 1, "bit {bit}");
+            let mut rebuilt: Vec<String> =
+                r.snapshot.iter().flat_map(|p| p.split('\n')).map(str::to_string).collect();
+            rebuilt.extend(r.tail);
+            assert_eq!(rebuilt, ["a", "b", "c", "d"], "bit {bit}: history altered");
+            assert!(r.report.quarantined.is_empty(), "bit {bit}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! The CRC-32 covers the seq prefix *and* the payload, so a corrupted
-//! header is as detectable as a corrupted body. Records carry their own
+//! header is as detectable as a corrupted body. Snapshot generations
+//! ([`crate::snapshot`]) are single records in this same format. Records carry their own
 //! sequence number (assigned by the caller, monotonically) because the
 //! log's lifetime is decoupled from the snapshot's: a crash after a
 //! snapshot lands but before the log is compacted leaves records the
@@ -100,7 +101,9 @@ pub struct Wal {
     stats: SyncStats,
 }
 
-fn encode_record(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
+/// Append one framed record to `out`. Snapshot generations use the
+/// same framing (see [`crate::snapshot`]).
+pub(crate) fn encode_record(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
     let mut seq_bytes = Vec::with_capacity(varint::MAX_LEN);
     varint::encode_u64(seq, &mut seq_bytes);
     let mut crc = Crc32::new();
@@ -114,7 +117,7 @@ fn encode_record(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
 
 /// Decode one record from `buf`, returning `(seq, payload, consumed)`,
 /// or `None` when the bytes at the front are torn/corrupt/truncated.
-fn decode_record(buf: &[u8]) -> Option<(u64, String, usize)> {
+pub(crate) fn decode_record(buf: &[u8]) -> Option<(u64, String, usize)> {
     let (seq, seq_len) = varint::decode_u64(buf).ok()?;
     let (len, len_len) = varint::decode_u64(&buf[seq_len..]).ok()?;
     let len = usize::try_from(len).ok()?;
@@ -133,6 +136,22 @@ fn decode_record(buf: &[u8]) -> Option<(u64, String, usize)> {
     }
     let text = String::from_utf8(payload.to_vec()).ok()?;
     Some((seq, text, total))
+}
+
+/// Atomically replace the file at `path` with `image`: write the
+/// scratch file `tmp_name` beside it and fsync it, rename it over
+/// `path`, then fsync the directory so the rename survives a power
+/// cut. At every instant the directory holds either the complete old
+/// file or the complete new one. Log rewrites and snapshot generations
+/// both install through here.
+pub(crate) fn install(fs: &Fs, path: &Path, tmp_name: &str, image: &[u8]) -> std::io::Result<()> {
+    let dir = path
+        .parent()
+        .ok_or_else(|| std::io::Error::other("store file has no parent directory"))?;
+    let tmp = dir.join(tmp_name);
+    fs.write_sync(&tmp, image)?;
+    fs.rename(&tmp, path)?;
+    fs.sync_dir(dir)
 }
 
 impl Wal {
@@ -190,10 +209,10 @@ impl Wal {
     /// clean, and reopen for appending. This is both the compaction
     /// primitive (drop records a fallback snapshot generation no longer
     /// needs) and the quarantine cleanup (rewrite a log whose interior
-    /// held garbage). Crash-safe: the new image is written to
-    /// [`WAL_TMP_FILE`], fsynced, renamed over [`WAL_FILE`], and the
-    /// directory fsynced — at every instant the directory holds either
-    /// the complete old log or the complete new one.
+    /// held garbage). Crash-safe: the new image goes through
+    /// [`WAL_TMP_FILE`] and [`install`], so at every instant the
+    /// directory holds either the complete old log or the complete new
+    /// one.
     ///
     /// The group-commit buffer must be empty (sync first); rewriting
     /// under unflushed appends would reorder durability.
@@ -203,15 +222,7 @@ impl Wal {
         for (seq, payload) in records {
             encode_record(*seq, payload.as_bytes(), &mut image);
         }
-        let dir = self
-            .path
-            .parent()
-            .ok_or_else(|| std::io::Error::other("wal path has no parent directory"))?
-            .to_path_buf();
-        let tmp = dir.join(WAL_TMP_FILE);
-        self.fs.write_sync(&tmp, &image)?;
-        self.fs.rename(&tmp, &self.path)?;
-        self.fs.sync_dir(&dir)?;
+        install(&self.fs, &self.path, WAL_TMP_FILE, &image)?;
         // The old handle points at the replaced file; reopen on the
         // installed one so future appends land after the new image.
         self.file = self.fs.open_append(&self.path)?;

@@ -324,14 +324,6 @@ impl<'d> FieldRef<'d> {
     pub fn as_bool(&self) -> Option<bool> {
         self.0.and_then(|v| v.as_bool())
     }
-
-    /// Whether the field was absent or explicitly `null`.
-    pub fn is_missing_or_null(&self) -> bool {
-        match self.0 {
-            None => true,
-            Some(v) => v.is_null(),
-        }
-    }
 }
 
 /// Sibling-chain iterator over a container's children.
@@ -731,7 +723,6 @@ mod tests {
         assert_eq!(op, "autocomplete");
         assert_eq!(root.field("k").as_u64(), Some(3));
         assert_eq!(root.field("missing").as_str(), None);
-        assert!(root.field("missing").is_missing_or_null());
     }
 
     #[test]

@@ -54,6 +54,13 @@ cargo run --release --offline -p copycat-serve -- transforms
 # server; probes a sample end to end and asserts the marginal memory
 # cost keeps >=100k sessions per GiB.
 cargo run --release --offline -p copycat-serve -- herd
-# Smoke: the perf-trajectory emitter runs and produces non-empty JSON
-# (no timing assertions — numbers vary by machine).
-scripts/bench_json.sh
+# Smoke: the four perf-trajectory emitters run and produce non-empty
+# JSON (no timing assertions — numbers vary by machine). They write
+# into a scratch directory, so the gate never rewrites the committed
+# BENCH_*.json files; scripts/bench_json.sh refreshes those.
+bench_out="$(mktemp -d)"
+trap 'rm -rf "$bench_out"' EXIT
+for emitter in e3-json serve-json faults-json transforms-json; do
+    cargo run --release --offline -p copycat-bench --bin harness -- "$emitter" > "$bench_out/$emitter.json"
+    test -s "$bench_out/$emitter.json" || { echo "verify: harness $emitter emitted nothing" >&2; exit 1; }
+done
