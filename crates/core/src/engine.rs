@@ -11,6 +11,15 @@
 //!   proposes column auto-completions from the source graph, discovers
 //!   queries for cross-source pastes, and routes feedback (via
 //!   provenance) to the MIRA learner.
+//!
+//! The mode is not stored: it is integration mode exactly when the
+//! active [`Tab`] carries a query. Everything a tab shows — its grid,
+//! its query and its transform columns — lives in the tab, so undo
+//! (which restores a clone of the [`Workspace`] plus the graph's edge
+//! costs) and a tab switch (which only moves the active index) always
+//! bring a tab back whole. Only the in-progress import hypotheses stay
+//! on the engine: they carry extracted rows that a per-tab copy would
+//! deep-clone on every checkpoint.
 
 use crate::autocomplete::{self, ColumnSuggestion, ScoredQuery};
 use crate::cache::{CacheStats, QueryCache};
@@ -25,8 +34,9 @@ use copycat_linkage::{LabeledPair, MatchLearner, Matcher, TfIdfIndex};
 use copycat_query::{Catalog, Field, Plan, Relation, Schema, Service};
 use copycat_semantic::TypeRegistry;
 use copycat_services::{
-    Flaky, HealthRegistry, HealthSnapshot, Resilient, RetryPolicy, SavedFlakyState,
-    SavedServiceHealth,
+    AddressResolver, CurrencyConverter, Flaky, Geocoder, HealthRegistry, HealthSnapshot,
+    Resilient, RetryPolicy, ReversePhone, SavedFlakyState, SavedServiceHealth, UnitConverter,
+    World, ZipResolver,
 };
 use copycat_transform::Program;
 use std::sync::Arc;
@@ -60,9 +70,6 @@ pub struct CopyCat {
     graph: SourceGraph,
     workspace: Workspace,
     import: Option<ImportState>,
-    mode: Mode,
-    current_plan: Option<Plan>,
-    current_nodes: Vec<NodeId>,
     mira: Mira,
     /// Suggestions shown for the last `column_suggestions` call; feedback
     /// constraints compare the chosen one against these.
@@ -74,13 +81,8 @@ pub struct CopyCat {
     /// is `None` for wrappers restored from a saved session until
     /// [`Self::attach_wrapper_document`] reattaches one).
     wrappers: Vec<(String, Option<DocumentId>, Wrapper)>,
-    /// Per-tab integration state: `(plan, nodes)` by tab index.
-    tab_queries: copycat_util::hash::FxHashMap<usize, (Plan, Vec<NodeId>)>,
     /// §5 "data cleaning" mode: edits stay local instead of generalizing.
     cleaning: bool,
-    /// Transform-derived columns of the active tab: column index →
-    /// (program, accumulated examples).
-    transform_columns: copycat_util::hash::FxHashMap<usize, TransformState>,
     /// Undo stack of view-state snapshots (§5 "advanced interactions").
     undo_stack: Vec<Snapshot>,
     /// Version-stamped cache of Steiner searches: repeated pastes reuse
@@ -103,22 +105,15 @@ pub struct CopyCat {
     pending_probes: copycat_util::hash::FxHashMap<String, SavedFlakyState>,
 }
 
-/// A transform column's learned program plus its accumulated examples.
-type TransformState = (Program, Vec<(Vec<String>, String)>);
-
 /// A restorable view-state snapshot. Catalog contents are append-only
-/// and are not rolled back; the workspace, the active query, and the
-/// learned edge costs are.
+/// and are not rolled back; the workspace (every tab with its query and
+/// transform columns) and the learned edge costs are.
 struct Snapshot {
     workspace: Workspace,
-    current_plan: Option<Plan>,
-    current_nodes: Vec<NodeId>,
     edge_costs: Vec<f64>,
     /// Edge count at checkpoint time: edges added later (e.g. learned
     /// transform edges) are removed again by undo.
     edge_count: usize,
-    tab_queries: copycat_util::hash::FxHashMap<usize, (Plan, Vec<NodeId>)>,
-    mode: Mode,
 }
 
 /// What [`CopyCat::edit_cell`] did with an edit.
@@ -223,17 +218,12 @@ impl CopyCat {
             graph,
             workspace: Workspace::new(),
             import: None,
-            mode: Mode::Import,
-            current_plan: None,
-            current_nodes: Vec::new(),
             mira: Mira::default(),
             last_shown: Vec::new(),
             link_examples: Vec::new(),
             link_matcher: None,
             wrappers: Vec::new(),
-            tab_queries: copycat_util::hash::FxHashMap::default(),
             cleaning: false,
-            transform_columns: copycat_util::hash::FxHashMap::default(),
             undo_stack: Vec::new(),
             query_cache: QueryCache::default(),
             health: HealthRegistry::new(),
@@ -250,12 +240,8 @@ impl CopyCat {
         const MAX_UNDO: usize = 32;
         let snap = Snapshot {
             workspace: self.workspace.clone(),
-            current_plan: self.current_plan.clone(),
-            current_nodes: self.current_nodes.clone(),
             edge_costs: self.graph.edge_ids().map(|e| self.graph.cost(e)).collect(),
             edge_count: self.graph.edge_count(),
-            tab_queries: self.tab_queries.clone(),
-            mode: self.mode,
         };
         self.undo_stack.push(snap);
         if self.undo_stack.len() > MAX_UNDO {
@@ -263,19 +249,15 @@ impl CopyCat {
         }
     }
 
-    /// Undo the last user action: restores the workspace, the active
-    /// query, and the learned edge costs. Catalog contents (committed
-    /// sources) are append-only and stay. Returns false when there is
-    /// nothing to undo.
+    /// Undo the last user action: restores the workspace (each tab's
+    /// grid, query and transform columns) and the learned edge costs.
+    /// Catalog contents (committed sources) are append-only and stay.
+    /// Returns false when there is nothing to undo.
     pub fn undo(&mut self) -> bool {
         let Some(snap) = self.undo_stack.pop() else {
             return false;
         };
         self.workspace = snap.workspace;
-        self.current_plan = snap.current_plan;
-        self.current_nodes = snap.current_nodes;
-        self.tab_queries = snap.tab_queries;
-        self.mode = snap.mode;
         // Edges added since the checkpoint (learned transform edges,
         // association edges of later commits) are removed outright —
         // undoing a learned transform deletes its edge and bumps the
@@ -320,14 +302,19 @@ impl CopyCat {
         &mut self.registry
     }
 
-    /// The current mode.
+    /// The current mode: integration exactly when the active tab has a
+    /// query.
     pub fn mode(&self) -> Mode {
-        self.mode
+        if self.workspace.active().query.is_some() {
+            Mode::Integrate
+        } else {
+            Mode::Import
+        }
     }
 
-    /// The active integration query, if any.
+    /// The active tab's integration query, if any.
     pub fn current_plan(&self) -> Option<&Plan> {
-        self.current_plan.as_ref()
+        self.workspace.active().query.as_ref().map(|(plan, _)| plan)
     }
 
     /// Open a document the user is viewing (the application wrapper's
@@ -342,7 +329,7 @@ impl CopyCat {
     /// suggested rows.
     pub fn paste_example(&mut self, doc: DocumentId, values: &[&str]) -> usize {
         self.checkpoint();
-        if self.mode != Mode::Import {
+        if self.mode() != Mode::Import {
             self.start_import_tab("import");
         }
         let values: Vec<String> = values.iter().map(|v| v.to_string()).collect();
@@ -492,34 +479,19 @@ impl CopyCat {
                     .push((name.to_string(), Some(state.doc), w.wrapper.clone()));
             }
         }
-        self.workspace.active_mut().title = name.to_string();
+        let nodes = self.graph.node_by_name(name).into_iter().collect();
+        let tab = self.workspace.active_mut();
+        tab.title = name.to_string();
+        tab.query = Some((Plan::scan(name), nodes));
         self.import = None;
-        self.mode = Mode::Integrate;
-        self.current_plan = Some(Plan::scan(name));
-        self.current_nodes = self.graph.node_by_name(name).into_iter().collect();
-        self.tab_queries.insert(
-            self.workspace.active_index(),
-            (Plan::scan(name), self.current_nodes.clone()),
-        );
         size
     }
 
-    /// Switch the active tab, restoring that tab's integration query (if
-    /// it has one). Returns false on a bad index.
+    /// Switch the active tab; its query and mode come with it. Returns
+    /// false on a bad index.
     pub fn switch_tab(&mut self, index: usize) -> bool {
         if !self.workspace.switch_to(index) {
             return false;
-        }
-        match self.tab_queries.get(&index) {
-            Some((plan, nodes)) => {
-                self.current_plan = Some(plan.clone());
-                self.current_nodes = nodes.clone();
-                self.mode = Mode::Integrate;
-            }
-            None => {
-                self.current_plan = None;
-                self.current_nodes.clear();
-            }
         }
         self.last_shown.clear();
         true
@@ -529,7 +501,6 @@ impl CopyCat {
     pub fn start_import_tab(&mut self, title: &str) {
         self.workspace.add_tab(Tab::new(title));
         self.import = None;
-        self.mode = Mode::Import;
     }
 
     /// Add an already-cataloged relation to the source graph (used when a
@@ -567,6 +538,19 @@ impl CopyCat {
                 .add_service_with_cost(&name, Schema::new(fields), sig.inputs.arity(), cost);
             discover_associations(&mut self.graph, &AssocOptions::default());
         }
+    }
+
+    /// Register the six predefined services over `world` (§4: "address
+    /// resolution, geocoding, and currency and unit conversion", plus
+    /// zip and reverse-phone lookup). The order is fixed because it fixes
+    /// the services' graph node ids.
+    pub fn register_world_services(&mut self, world: &Arc<World>) {
+        self.register_service(Arc::new(ZipResolver::new(Arc::clone(world))));
+        self.register_service(Arc::new(Geocoder::new(Arc::clone(world))));
+        self.register_service(Arc::new(AddressResolver::new(Arc::clone(world))));
+        self.register_service(Arc::new(ReversePhone::new(Arc::clone(world))));
+        self.register_service(Arc::new(CurrencyConverter::new()));
+        self.register_service(Arc::new(UnitConverter::new()));
     }
 
     /// Register a service wrapped in deterministic retry + circuit
@@ -672,15 +656,16 @@ impl CopyCat {
     /// replacement sources with the tripped service's edges banned.
     pub fn column_suggestions(&mut self) -> Vec<ColumnSuggestion> {
         self.refresh_service_costs();
-        let Some(plan) = self.current_plan.clone() else {
+        let tab = self.workspace.active();
+        let Some((plan, nodes)) = &tab.query else {
             return Vec::new();
         };
-        let rows = self.workspace.active().committed_rows();
+        let rows = tab.committed_rows();
         let mut suggs = autocomplete::column_suggestions(
             &self.graph,
             &self.catalog,
-            &plan,
-            &self.current_nodes,
+            plan,
+            nodes,
             &rows,
             SUGGESTION_COST_THRESHOLD,
             self.link_matcher.as_ref(),
@@ -690,8 +675,8 @@ impl CopyCat {
             let failover = autocomplete::failover_suggestions(
                 &self.graph,
                 &self.catalog,
-                &plan,
-                &self.current_nodes,
+                plan,
+                nodes,
                 &rows,
                 &tripped,
             );
@@ -727,18 +712,15 @@ impl CopyCat {
                 row.provenance = Some(p.clone());
             }
         }
-        self.current_plan = Some(sugg.plan.clone());
-        // Track the new node set.
+        // Adopt the extended query and track the new node set.
+        let mut nodes = tab.query.take().map(|(_, nodes)| nodes).unwrap_or_default();
         let edge = self.graph.edge(sugg.edge);
         for n in [edge.a, edge.b] {
-            if !self.current_nodes.contains(&n) {
-                self.current_nodes.push(n);
+            if !nodes.contains(&n) {
+                nodes.push(n);
             }
         }
-        self.tab_queries.insert(
-            self.workspace.active_index(),
-            (sugg.plan.clone(), self.current_nodes.clone()),
-        );
+        tab.query = Some((sugg.plan.clone(), nodes));
         // Promote over the alternatives shown alongside.
         let alternatives: Vec<Vec<copycat_graph::EdgeId>> = self
             .last_shown
@@ -901,7 +883,7 @@ impl CopyCat {
         let col = tab.columns.len();
         tab.add_column(Field::new(name), &sugg.values);
         tab.name_column(col, name);
-        self.transform_columns
+        tab.transforms
             .insert(col, (sugg.program.clone(), sugg.examples.clone()));
     }
 
@@ -1066,14 +1048,6 @@ impl CopyCat {
     /// program exists — re-applied to every row (a generalized edit).
     pub fn edit_cell(&mut self, row: usize, col: usize, value: &str) -> EditEffect {
         self.checkpoint();
-        let inputs: Option<Vec<String>> = {
-            let tab = self.workspace.active();
-            tab.rows.get(row).map(|r| {
-                // The transform inputs are the columns that existed when
-                // the program was learned (everything left of `col`).
-                r.cells.iter().take(col).cloned().collect()
-            })
-        };
         let tab = self.workspace.active_mut();
         let Some(r) = tab.rows.get_mut(row) else {
             return EditEffect::Local;
@@ -1085,30 +1059,28 @@ impl CopyCat {
         if self.cleaning {
             return EditEffect::Local;
         }
-        let (Some(inputs), Some((_, examples))) =
-            (inputs, self.transform_columns.get_mut(&col))
-        else {
+        let Some((program, examples)) = tab.transforms.get_mut(&col) else {
             return EditEffect::Local;
         };
-        examples.push((inputs, value.to_string()));
-        let Some(program) = copycat_transform::learn_ranked(examples).into_iter().next() else {
+        // The transform inputs are the columns that existed when the
+        // program was learned (everything left of `col`).
+        examples.push((r.cells[..col].to_vec(), value.to_string()));
+        let Some(relearned) = copycat_transform::learn_ranked(examples).into_iter().next() else {
             // No consistent program any more: the edit was a one-off
             // correction; drop back to local semantics.
             return EditEffect::Local;
         };
+        *program = relearned;
         // Re-apply to every row except explicit examples.
-        let tab = self.workspace.active_mut();
         let mut updated = 0;
         for r in tab.rows.iter_mut() {
-            let inputs: Vec<String> = r.cells.iter().take(col).cloned().collect();
-            if let Some(v) = program.apply(&inputs) {
+            if let Some(v) = program.apply(&r.cells[..col]) {
                 if r.cells[col] != v {
                     r.cells[col] = v;
                     updated += 1;
                 }
             }
         }
-        self.transform_columns.get_mut(&col).expect("present").0 = program;
         EditEffect::Generalized(updated)
     }
 
@@ -1271,12 +1243,8 @@ impl CopyCat {
         for row in rel.as_texts() {
             tab.paste_row(&row);
         }
-        let idx = self.workspace.add_tab(tab);
-        self.mode = Mode::Integrate;
-        self.current_plan = Some(Plan::scan(name));
-        self.current_nodes = vec![node];
-        self.tab_queries
-            .insert(idx, (Plan::scan(name), vec![node]));
+        tab.query = Some((Plan::scan(name), vec![node]));
+        self.workspace.add_tab(tab);
         true
     }
 

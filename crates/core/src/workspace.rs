@@ -6,9 +6,18 @@
 //! its own tabbed pane." Rows and columns carry suggestion state
 //! (highlighted rows in Figure 1, the yellow Zip column in Figure 2),
 //! which this headless model tracks explicitly.
+//!
+//! A [`Tab`] is the one home of its pane's state: besides the grid it
+//! carries the integration query its rows came from and the §5
+//! transform columns whose edits re-teach a program. Cloning the
+//! [`Workspace`] therefore captures every tab whole, which is what undo
+//! restores and what a tab switch selects.
 
+use copycat_graph::NodeId;
 use copycat_provenance::Provenance;
-use copycat_query::Field;
+use copycat_query::{Field, Plan};
+use copycat_transform::Program;
+use copycat_util::hash::FxHashMap;
 use std::fmt;
 
 /// Where a row came from — drives both rendering and feedback routing.
@@ -33,6 +42,9 @@ pub struct Row {
     pub provenance: Option<Provenance>,
 }
 
+/// A transform column's learned program plus its accumulated examples.
+pub(crate) type TransformState = (Program, Vec<(Vec<String>, String)>);
+
 /// One tabbed pane: a titled grid.
 #[derive(Debug, Clone, Default)]
 pub struct Tab {
@@ -44,6 +56,11 @@ pub struct Tab {
     pub user_named: Vec<bool>,
     /// The rows.
     pub rows: Vec<Row>,
+    /// The integration query this tab shows, with the graph nodes it
+    /// covers; `None` while the tab is still importing a source.
+    pub(crate) query: Option<(Plan, Vec<NodeId>)>,
+    /// Columns created by an accepted transform, by column index.
+    pub(crate) transforms: FxHashMap<usize, TransformState>,
 }
 
 impl Tab {

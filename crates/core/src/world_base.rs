@@ -21,10 +21,7 @@ use crate::engine::CopyCat;
 use copycat_graph::GraphBase;
 use copycat_query::{Catalog, Field, Relation, Schema};
 use copycat_semantic::SemanticType;
-use copycat_services::{
-    AddressResolver, CurrencyConverter, Geocoder, ReversePhone, UnitConverter, World,
-    WorldConfig, ZipResolver,
-};
+use copycat_services::{World, WorldConfig};
 use std::sync::Arc;
 
 /// The frozen, shareable state of one synthetic world. Cheap to clone
@@ -61,7 +58,8 @@ impl WorldBase {
     ///
     /// The base is built by driving a plain flat engine through the same
     /// public API a session would use — commit relations, register
-    /// services (in the serve layer's `register_world` order), let
+    /// services ([`CopyCat::register_world_services`], as the serve
+    /// layer's `register_world` does), let
     /// association discovery run — and then freezing the result. There
     /// is no second "base construction" code path to drift.
     pub fn synthetic(config: &WorldConfig) -> WorldBase {
@@ -81,12 +79,7 @@ impl WorldBase {
             &world.contact_rows(),
         ));
         engine.add_graph_relation("Contacts", contacts);
-        engine.register_service(Arc::new(ZipResolver::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(Geocoder::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(AddressResolver::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(ReversePhone::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(CurrencyConverter::new()));
-        engine.register_service(Arc::new(UnitConverter::new()));
+        engine.register_world_services(&world);
         let (catalog, graph, registry) = engine.into_shared_parts();
         WorldBase {
             world,

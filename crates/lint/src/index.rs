@@ -8,6 +8,10 @@
 //! sites. Cross-file rules ([`crate::rules::TreeRule`]) consume it via
 //! the conservative name-based call graph in [`crate::callgraph`].
 //!
+//! A closure handed to `spawn(…)` runs on another thread, so it is
+//! indexed as a function of its own (named [`SPAWNED`], which no call
+//! site can name) rather than as part of the function that spawns it.
+//!
 //! Soundness model (documented, deliberate): lock *identity* is the
 //! last identifier of the receiver path (`self.sessions.lock()` →
 //! class `sessions`), so two locks that alias through differently
@@ -23,6 +27,10 @@ use crate::lex::TokKind;
 pub const ACQUIRERS: [&str; 3] = ["lock", "read", "write"];
 /// Method names that can block on peer progress (channel/thread).
 pub const BLOCKERS: [&str; 4] = ["send", "try_send", "recv", "join"];
+
+/// The name given to a closure passed to `spawn(…)`: not an identifier,
+/// so no call site resolves to it.
+pub const SPAWNED: &str = "<spawned closure>";
 
 /// Idents that look like calls but never resolve to an in-crate `fn`.
 const NON_CALLS: [&str; 13] = [
@@ -89,7 +97,8 @@ pub struct FnDef {
     pub locks: Vec<LockSite>,
     /// `let`-bound guards with liveness.
     pub guards: Vec<GuardSite>,
-    /// Direct blocking calls (`.send(`/`.try_send(`/`.recv(`/`.join(`).
+    /// Direct blocking calls (`.send(`/`.try_send(`/`.recv(`, and a
+    /// zero-argument `.join()`).
     pub blocking: Vec<CallSite>,
     /// Every plain call site, for the call graph.
     pub calls: Vec<CallSite>,
@@ -244,7 +253,7 @@ fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<En
                     .find(|&k| text(k) == Some("}") && ctx.depth[k] == d + 1)
                     .unwrap_or(toks.len());
                 let body = (open + 1, close);
-                let mut def = FnDef {
+                let def = FnDef {
                     name: toks[i + 1].text.clone(),
                     crate_name: crate_name.clone(),
                     file: fi,
@@ -256,8 +265,7 @@ fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<En
                     blocking: Vec::new(),
                     calls: Vec::new(),
                 };
-                index_body(ctx, &mut def);
-                fns.push(def);
+                index_fn(ctx, def, fns);
                 // Nested fns are rare and still indexed: resume right
                 // after the name so the inner scan revisits the body.
                 i += 2;
@@ -309,14 +317,37 @@ fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<En
     }
 }
 
-/// Fill a function's lock/guard/blocking/call site lists.
-fn index_body(ctx: &FileCtx, def: &mut FnDef) {
+/// Index one function's body and push it, then each closure it hands
+/// to `spawn(…)` as a function of its own: what runs on the spawned
+/// thread is not this function's locking or blocking behaviour, but its
+/// guards still must not outlive a blocking call.
+fn index_fn(ctx: &FileCtx, mut def: FnDef, fns: &mut Vec<FnDef>) {
+    let spawned = index_body(ctx, &mut def);
+    let (crate_name, file, in_test) = (def.crate_name.clone(), def.file, def.in_test);
+    fns.push(def);
+    for body in spawned {
+        let closure = FnDef {
+            name: SPAWNED.to_string(),
+            crate_name: crate_name.clone(),
+            file,
+            line: ctx.toks[body.0].line,
+            body,
+            in_test,
+            locks: Vec::new(),
+            guards: Vec::new(),
+            blocking: Vec::new(),
+            calls: Vec::new(),
+        };
+        index_fn(ctx, closure, fns);
+    }
+}
+
+/// Fill a function's lock/guard/blocking/call site lists, skipping the
+/// argument groups of `spawn(…)` calls, whose ranges it returns.
+fn index_body(ctx: &FileCtx, def: &mut FnDef) -> Vec<(usize, usize)> {
     let toks = &ctx.toks;
     let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
     let (start, end) = def.body;
-    // Closures handed to `spawn(…)` run on *another* thread: nothing
-    // inside the spawn call's argument group counts as this function's
-    // own locking/blocking behaviour.
     let spawned = spawn_arg_ranges(ctx, start, end.min(toks.len()));
     for k in start..end.min(toks.len()) {
         if spawned.iter().any(|&(s, e)| k >= s && k < e) {
@@ -337,9 +368,9 @@ fn index_body(ctx: &FileCtx, def: &mut FnDef) {
                 line: toks[k + 1].line,
             });
         }
-        // Blocking calls, same shape the per-file rule matches — except
-        // `join`, which must be zero-arg: `handle.join()` blocks on a
-        // thread, `path.join(seg)` and `vec.join(sep)` do not.
+        // Blocking calls: `join` must be zero-arg — `handle.join()`
+        // blocks on a thread, `path.join(seg)` and `vec.join(sep)` do
+        // not.
         if text(k) == Some(".")
             && toks.get(k + 1).is_some_and(|t| BLOCKERS.contains(&t.text.as_str()))
             && text(k + 2) == Some("(")
@@ -410,6 +441,7 @@ fn index_body(ctx: &FileCtx, def: &mut FnDef) {
             });
         }
     }
+    spawned
 }
 
 /// Token ranges covered by the argument group of every `spawn(…)` call

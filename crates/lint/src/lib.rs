@@ -24,7 +24,8 @@
 //!    ([`index::SymbolIndex`]) and a conservative intra-crate call
 //!    graph ([`callgraph::CallGraph`]) are built over all files at
 //!    once, then interprocedural rules run — lock-order cycles,
-//!    guard-held-across-transitively-blocking-call, and protocol
+//!    guards held across a blocking call (direct or down the call
+//!    chain), and protocol
 //!    exhaustiveness against companion artifacts (golden transcripts,
 //!    durability tests) loaded as raw [`index::AuxFile`]s.
 //!

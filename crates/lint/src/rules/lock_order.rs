@@ -1,11 +1,11 @@
-//! `lock-order` — cross-function lock-acquisition order analysis.
+//! `lock-order` and `guard-across-blocking` — the deadlock pass over
+//! the symbol index's guards.
 //!
-//! Phase 2's deadlock pass. From the symbol index it derives, per
-//! crate, a directed graph over lock *classes* (see
-//! [`crate::index::receiver_class`] naming): an edge `A → B` means
-//! some non-test function acquires `B` — directly, or transitively
-//! through the intra-crate call graph — while holding a guard on `A`.
-//! Three finding shapes come out:
+//! Phase 2 derives, per crate, a directed graph over lock *classes*
+//! (see [`crate::index::receiver_class`] naming): an edge `A → B`
+//! means some non-test function acquires `B` — directly, or
+//! transitively through the intra-crate call graph — while holding a
+//! guard on `A`. Four finding shapes come out:
 //!
 //! 1. **Cycles** (`lock-order`): `A → B` and `B → … → A` both exist —
 //!    two threads taking the classes in opposite orders can deadlock.
@@ -15,14 +15,22 @@
 //!    `A` is acquired again (directly or via a callee) and at least
 //!    one side is exclusive — guaranteed self-deadlock on the
 //!    non-reentrant `util::sync` shims (read→read is allowed).
-//! 3. **Interprocedural guard-across-blocking**
-//!    (`guard-across-blocking`): a call made under a live guard
-//!    reaches a `send`/`recv`/`join` somewhere down the call chain —
-//!    the same deadlock shape the per-file rule catches in a single
-//!    block, upgraded across function boundaries.
+//! 3. **Direct guard-across-blocking** (`guard-across-blocking`): a
+//!    guard binding is still live at one of its function's own
+//!    blocking calls (`send`/`try_send`/`recv`, or a zero-argument
+//!    `join()` — `lines.join("\n")` is not a thread join). A blocked
+//!    peer can need the held lock, e.g. the drainer of a full bounded
+//!    channel. One finding per guard; `drop(guard)` or the end of its
+//!    block ends its liveness, and a temporary guard
+//!    (`map.read().len()`) is no binding.
+//! 4. **Interprocedural guard-across-blocking**: a call made under a
+//!    live guard reaches a blocking call somewhere down the call chain.
 //!
-//! `crates/util` is exempt: it *implements* the lock primitives, and
-//! its internals are covered by their own property tests.
+//! Closures passed to `spawn(…)` are functions of their own in the
+//! index, so their guards are checked too. `crates/util` is exempt from
+//! the lock-order and interprocedural checks — it *implements* the
+//! lock primitives, and its internals are covered by their own
+//! property tests — but not from direct guard-across-blocking.
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
@@ -32,6 +40,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose lock usage is the primitive layer itself.
 const EXEMPT_CRATES: [&str; 1] = ["util"];
+
+/// The rule name of the guard-across-blocking findings.
+pub const GUARD_ACROSS_BLOCKING: &str = "guard-across-blocking";
 
 /// One recorded order edge `from → to` with its site and provenance.
 struct Edge {
@@ -52,12 +63,29 @@ impl TreeRule for LockOrder {
         // (crate, from class, to class) → first recorded edge.
         let mut edges: BTreeMap<(String, String, String), Edge> = BTreeMap::new();
         for (fi, f) in index.fns.iter().enumerate() {
-            if f.in_test || EXEMPT_CRATES.contains(&f.crate_name.as_str()) {
+            if f.in_test {
                 continue;
             }
+            let exempt = EXEMPT_CRATES.contains(&f.crate_name.as_str());
             let file = index.files[f.file].path.clone();
             for g in &f.guards {
                 let in_range = |tok: usize| tok >= g.live.0 && tok < g.live.1;
+                if let Some(b) = f.blocking.iter().find(|b| in_range(b.tok)) {
+                    out.push(Finding::new(
+                        GUARD_ACROSS_BLOCKING,
+                        file.clone(),
+                        b.line,
+                        format!(
+                            ".{}( while guard `{}` (acquired line {}) is live — a blocking \
+                             call under a lock can deadlock against channel backpressure; \
+                             drop the guard first",
+                            b.name, g.name, g.line
+                        ),
+                    ));
+                }
+                if exempt {
+                    continue;
+                }
                 // Direct acquisitions under the guard.
                 for l in &f.locks {
                     if !in_range(l.tok) {
@@ -105,7 +133,7 @@ impl TreeRule for LockOrder {
                             let mut prov = vec![index.fn_site(f)];
                             prov.extend(graph.block_chain(index, callee));
                             out.push(Finding {
-                                rule: "guard-across-blocking",
+                                rule: GUARD_ACROSS_BLOCKING,
                                 file: file.clone(),
                                 line: c.line,
                                 message: format!(
@@ -273,6 +301,66 @@ mod tests {
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].rule, "guard-across-blocking");
         assert!(found[0].provenance.iter().any(|p| p.contains("fn fanout")));
+    }
+
+    #[test]
+    fn guard_live_across_send_fires() {
+        let src = "fn f(m: &Mutex<u8>, tx: &Sender<u8>) {\n  let g = m.lock();\n  \
+                   tx.send(*g);\n}";
+        let found = analyze_source("crates/serve/src/x.rs", src);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, "guard-across-blocking");
+        assert_eq!(found[0].line, 3);
+    }
+
+    #[test]
+    fn drop_before_send_and_inner_scope_pass() {
+        let dropped = "fn f(m: &Mutex<u8>, tx: &Sender<u8>) {\n  let g = m.lock();\n  \
+                       let v = *g;\n  drop(g);\n  tx.send(v);\n}";
+        assert!(analyze_source("crates/serve/src/x.rs", dropped).is_empty());
+        let scoped = "fn f(m: &Mutex<u8>, tx: &Sender<u8>) {\n  let v = { let g = m.lock(); *g };\n  \
+                      tx.send(v);\n}";
+        assert!(analyze_source("crates/serve/src/x.rs", scoped).is_empty());
+    }
+
+    #[test]
+    fn temporary_guards_and_rwlock_variants() {
+        let temp = "fn f(m: &RwLock<Map>) -> usize { let n = m.read().len();\n  n }";
+        assert!(analyze_source("crates/serve/src/x.rs", temp).is_empty());
+        let write = "fn f(m: &RwLock<u8>, rx: &Receiver<u8>) {\n  let mut g = m.write();\n  \
+                     *g = rx.recv().unwrap_or(0);\n}";
+        let found = analyze_source("crates/core/src/x.rs", write);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, "guard-across-blocking");
+    }
+
+    #[test]
+    fn join_under_guard_fires() {
+        let src = "fn f(m: &Mutex<u8>, h: JoinHandle<()>) {\n  let g = m.lock();\n  \
+                   let _ = h.join();\n}";
+        assert_eq!(analyze_source("crates/graph/src/x.rs", src).len(), 1);
+    }
+
+    #[test]
+    fn string_join_under_guard_passes() {
+        let src = "fn f(m: &Mutex<Vec<String>>) -> String {\n  let lines = m.lock();\n  \
+                   lines.join(\"\\n\")\n}";
+        assert!(analyze_source("crates/serve/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn direct_blocking_is_checked_in_util_and_in_spawned_closures() {
+        let src = "fn f(m: &Mutex<u8>, tx: &Sender<u8>) {\n  let g = m.lock();\n  \
+                   tx.send(*g);\n}";
+        let found = analyze_source("crates/util/src/sync.rs", src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].rule, "guard-across-blocking");
+        let spawned = "fn f(m: &Mutex<u8>, tx: &Sender<u8>) {\n  \
+                       std::thread::scope(|s| {\n    s.spawn(|| {\n      \
+                       let g = m.lock();\n      tx.send(*g);\n    });\n  });\n}";
+        let found = analyze_source("crates/query/src/x.rs", spawned);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!((found[0].rule, found[0].line), ("guard-across-blocking", 5));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | `lock-order` | yes | non-test code, all crates except `crates/util` |
 //! | `protocol-exhaustiveness` | yes | the `Op` enum and its companion artifacts |
 //! | `relaxed-atomics` | no | non-test code, all crates |
-//! | `guard-across-blocking` | no | non-test code, all crates (single-block and interprocedural) |
+//! | `guard-across-blocking` | no | non-test code, all crates; reported by `lock_order` from the symbol index (direct and interprocedural; the interprocedural check skips `crates/util`) |
 //! | `spawn-discipline` | no | non-test code, all crates |
 //! | `stale-suppression` | yes | every `lint:allow` that silences nothing |
 //!
@@ -25,7 +25,6 @@
 //! rule name at all, so a stale allow cannot be allowed; it is deleted.
 
 pub mod fs_discipline;
-pub mod guard_blocking;
 pub mod hotpath;
 pub mod lock_order;
 pub mod panic_path;
@@ -67,7 +66,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(randomstate::RandomStateRule),
         Box::new(panic_path::PanicPath),
         Box::new(relaxed_atomics::RelaxedAtomics),
-        Box::new(guard_blocking::GuardAcrossBlocking),
         Box::new(spawn_discipline::SpawnDiscipline),
         Box::new(unsafe_safety::UnsafeSafety),
         Box::new(hotpath::HotPathAlloc),
@@ -103,6 +101,7 @@ pub const STRICT: &[&str] = &[
 pub fn names() -> Vec<&'static str> {
     let mut n: Vec<&'static str> = all().iter().map(|r| r.name()).collect();
     n.extend(tree_rules().iter().map(|r| r.name()));
+    n.push(lock_order::GUARD_ACROSS_BLOCKING);
     n
 }
 

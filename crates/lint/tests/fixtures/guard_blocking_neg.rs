@@ -21,3 +21,9 @@ pub fn drain_after_scope(m: &Mutex<Vec<String>>, tx: &Sender<String>) {
         let _ = tx.send(item);
     }
 }
+
+pub fn render_under_guard(m: &Mutex<Vec<String>>) -> String {
+    let lines = m.lock();
+    // A string join, not a thread join: nothing blocks here.
+    lines.join("\n")
+}

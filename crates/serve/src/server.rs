@@ -39,10 +39,7 @@ use copycat_core::{explain, export, CopyCat, WorldBase};
 use copycat_document::corpus::contact_sheet;
 use copycat_document::{Document, DocumentId};
 use copycat_query::{Renamed, Service};
-use copycat_services::{
-    AddressResolver, CurrencyConverter, Flaky, Geocoder, HealthSnapshot, ReversePhone,
-    RetryPolicy, UnitConverter, World, WorldConfig, ZipResolver,
-};
+use copycat_services::{Flaky, HealthSnapshot, RetryPolicy, World, WorldConfig};
 use copycat_util::hash::FxHashMap;
 use copycat_util::json::{Json, JsonError};
 use copycat_util::sync::Mutex;
@@ -857,12 +854,7 @@ fn world_config(params: ZRef<'_>) -> Result<WorldConfig, (ErrorKind, String)> {
 fn register_world(req: &Request, s: &mut SessionState) -> OpResult {
     let config = world_config(req.body)?;
     let world = Arc::new(World::generate(&config));
-    s.engine.register_service(Arc::new(ZipResolver::new(Arc::clone(&world))));
-    s.engine.register_service(Arc::new(Geocoder::new(Arc::clone(&world))));
-    s.engine.register_service(Arc::new(AddressResolver::new(Arc::clone(&world))));
-    s.engine.register_service(Arc::new(ReversePhone::new(Arc::clone(&world))));
-    s.engine.register_service(Arc::new(CurrencyConverter::new()));
-    s.engine.register_service(Arc::new(UnitConverter::new()));
+    s.engine.register_world_services(&world);
     let services: Vec<String> = s.engine.catalog().service_names();
     // The generated rows go back to the client so a remote tester can
     // paste world-consistent data without sharing memory with us.

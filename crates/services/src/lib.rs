@@ -24,7 +24,6 @@
 
 pub mod faults;
 pub mod health;
-pub mod registry;
 pub mod services;
 pub mod world;
 
@@ -32,7 +31,6 @@ pub use faults::{Flaky, SavedFlakyState};
 pub use health::{
     BreakerState, HealthRegistry, HealthSnapshot, Resilient, RetryPolicy, SavedServiceHealth,
 };
-pub use registry::register_all;
 pub use services::{
     AddressResolver, CurrencyConverter, Geocoder, ReversePhone, UnitConverter, ZipResolver,
 };

@@ -27,6 +27,12 @@ timeout --kill-after=30 900 cargo test -q --offline --workspace
 # server, router, store or JSON types would break it unseen.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -p copycat-bench --bin harness -- e1
+# Examples: `cargo test` only compiles them, yet hurricane_mashup and
+# power_user are the only end-to-end drivers of tab switches, undo and
+# transform-column edits. Each must run to completion (exit 0).
+for example in examples/*.rs; do
+    cargo run --release --offline -q --example "$(basename "$example" .rs)" > /dev/null
+done
 # Serve smoke: spawn an in-process copycat-serve, round-trip one request
 # of every request class, and drain gracefully. Exits non-zero if any
 # required class fails.
